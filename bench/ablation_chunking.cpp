@@ -1,18 +1,22 @@
 // Ablation C (paper Section 4.2): steal-reply chunking policies.
 //
-// The paper's boolean chunked/unchunked stack-stealing ablation, generalised
-// to the full ChunkPolicy sweep: every steal reply - stack splits AND pool
-// steals - carries `one`, `fixed:k`, `half`, `adaptive` (sized from the
-// victim's pool/stack depth) or `all` tasks per message. Chunking trades
-// steal frequency against work granularity: tasks/steal rises above 1 and
-// the message count falls while the search result must stay identical.
+// The paper's boolean chunked/unchunked stack-stealing ablation, applied to
+// both steal protocols: every steal reply - stack splits AND pool steals -
+// carries one task (`one`) or everything the victim can spare (`all`: every
+// lowest-depth sibling of a stack split, half the victim's stealable pool).
+// Chunking trades steal frequency against work granularity: tasks/steal
+// rises above 1 and the message count falls while the search result must
+// stay identical.
 //
 // Measured on UTS (pure enumeration: no pruning noise) and branch-and-bound
-// MaxClique under Stack-Stealing (stack splits), and on conflict-MST under
-// Depth-Bounded across 2 localities (remote workpool steals).
+// MaxClique under Stack-Stealing (stack splits), on UTS under Depth-Bounded
+// and Budget across 2 localities x 1 worker (remote pool steals, the
+// benchmark's uts-dist layout), and on conflict-MST under Depth-Bounded
+// across 2 localities.
 //
 // Flags: --tiny (CI smoke sizes)  --reps N (timing repetitions)
-// Exits non-zero if any policy changes a search result.
+// Exits non-zero if any policy changes a search result, or if any row moves
+// more tasks by steals than it spawned (the remote-steal ping-pong).
 
 #include <cstdio>
 #include <iostream>
@@ -38,6 +42,7 @@ struct RunResult {
 };
 
 bool gResultsAgree = true;
+bool gNoPingPong = true;
 
 // Run `runFn` under every chunk policy and add one table row each; verify
 // every policy reproduces the `one` baseline's search result.
@@ -51,10 +56,14 @@ void sweepPolicies(TablePrinter& table, const char* workload,
     if (!baseline) baseline = r.result;
     const bool ok = r.result == *baseline;
     if (!ok) gResultsAgree = false;
+    const bool moveOk = r.metrics.tasksStolen() <= r.metrics.tasksSpawned;
+    if (!moveOk) gNoPingPong = false;
     table.addRow({workload, spec, TablePrinter::cell(r.seconds, 3),
                   std::to_string(r.metrics.tasksSpawned),
                   std::to_string(r.metrics.stealReplies),
                   TablePrinter::cell(r.metrics.tasksPerSteal(), 2),
+                  TablePrinter::cell(r.metrics.movedPerSpawned(), 2) +
+                      (moveOk ? "" : " PING-PONG"),
                   std::to_string(r.metrics.networkMessages),
                   std::to_string(r.result) + (ok ? "" : " MISMATCH")});
   }
@@ -71,11 +80,10 @@ int main(int argc, char** argv) {
   std::printf("(policies size every steal reply; Steals counts successful "
               "steal transactions)\n\n");
 
-  const std::vector<std::string> policies = {"one",  "fixed:2",  "fixed:4",
-                                             "half", "adaptive", "all"};
+  const std::vector<std::string> policies = {"one", "all"};
 
   TablePrinter table({"Workload", "Policy", "Time(s)", "Tasks", "Steals",
-                      "Tasks/Steal", "Msgs", "Result"});
+                      "Tasks/Steal", "Moved/Spawned", "Msgs", "Result"});
 
   {  // UTS enumeration, Stack-Stealing: chunked stack splits.
     uts::Params tree;
@@ -118,8 +126,40 @@ int main(int argc, char** argv) {
     });
   }
 
+  {  // UTS enumeration over 2 localities x 1 worker: chunked *pool* steal
+     // replies under Depth-Bounded (d=6) and Budget (b=1000), the layout
+     // where a victim that gave away its whole pool would steal the same
+     // tasks back (the Moved/Spawned gate).
+    uts::Params tree;
+    tree.shape = uts::Shape::Geometric;
+    tree.b0 = 6;
+    tree.maxDepth = tiny ? 10 : 13;
+    tree.seed = 19;
+    for (Skel skel : {Skel::DepthBounded, Skel::Budget}) {
+      const std::string name = std::string("UTS(geo)/pool ") +
+                               (skel == Skel::DepthBounded ? "DB d=6"
+                                                           : "Budget b=1000");
+      sweepPolicies(table, name.c_str(), policies, [&](ChunkPolicy chunk) {
+        Params p;
+        p.nLocalities = 2;
+        p.workersPerLocality = 1;
+        p.dcutoff = 6;
+        p.backtrackBudget = 1000;
+        p.chunk = chunk;
+        RunResult r;
+        r.seconds = timeMedian(reps, [&] {
+          auto out = runSkel<uts::Gen, Enumeration<CountAll>>(
+              skel, p, tree, uts::rootNode(tree));
+          r.result = static_cast<std::int64_t>(out.sum);
+          r.metrics = out.metrics;
+        });
+        return r;
+      });
+    }
+  }
+
   {  // Conflict-MST optimisation, Depth-Bounded over 2 localities: chunked
-     // *pool* steal replies (Workpool::stealMany) between localities.
+     // *pool* steal replies (Workpool::stealChunk) between localities.
     auto inst = tiny ? cmst::randomInstance(12, 30, 60, 2020)
                      : sweepCmstInstance();
     sweepPolicies(table, "CMST/pool", policies, [&](ChunkPolicy chunk) {
@@ -143,15 +183,19 @@ int main(int argc, char** argv) {
 
   table.print(std::cout);
   std::printf("\nexpectation: tasks/steal == 1 under `one`, > 1 under "
-              "fixed:k>=2 / half / adaptive / all; fewer messages for the "
-              "same work moved; identical results for every policy - the "
+              "`all`; fewer messages for the same work moved; moved/spawned "
+              "<= 1 on every row; identical results for every policy - the "
               "paper enables chunking for the Fig. 4 k-clique runs.\n");
 
   if (!gResultsAgree) {
     std::fprintf(stderr,
                  "FAIL: a chunk policy changed a search result (see "
                  "MISMATCH rows)\n");
-    return 1;
   }
-  return 0;
+  if (!gNoPingPong) {
+    std::fprintf(stderr,
+                 "FAIL: a row moved more tasks by steals than it spawned "
+                 "(see PING-PONG rows)\n");
+  }
+  return gResultsAgree && gNoPingPong ? 0 : 1;
 }

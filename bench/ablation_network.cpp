@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
                Params p;
                p.nLocalities = 2;
                p.workersPerLocality = 2;
-               p.chunk = parseChunkPolicy("half");
+               p.chunk = parseChunkPolicy("all");
                p.net = net;
                RunResult r;
                r.seconds = timeMedian(reps, [&] {
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     p.nLocalities = 2;
     p.workersPerLocality = 2;
     p.dcutoff = 4;
-    p.chunk = parseChunkPolicy("half");
+    p.chunk = parseChunkPolicy("all");
     p.net = net;
     RunResult r;
     r.seconds = timeMedian(reps, [&] {
@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
       Params base;
       base.nLocalities = 2;
       base.workersPerLocality = 2;
-      base.chunk = parseChunkPolicy("half");
+      base.chunk = parseChunkPolicy("all");
       base.dcutoff = 4;
 
       // Reference result from the simulated backend: the wire must never

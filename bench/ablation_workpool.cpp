@@ -22,7 +22,7 @@
 //
 // Part 3 - a 2-locality Ordered run, where steal-reply chunks exercise the
 // ascending-run contract across pools (Tasks/Steal > 1 under --chunk-policy
-// adaptive shows chunked hand-out working over the sharded shards too).
+// all shows chunked hand-out working over the sharded shards too).
 
 #include <cinttypes>
 #include <cstdio>
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
       p.dcutoff = 2;
       p.pool = cfg.pool;
       p.orderedWindow = cfg.window;
-      p.chunk = parseChunkPolicy("adaptive");
+      p.chunk = parseChunkPolicy("all");
       std::int64_t result = 0;
       rt::MetricsSnapshot m;
       const double t = timeMedian(reps, [&] {

@@ -10,6 +10,9 @@
 // speedup cannot materialise; alongside runtime we therefore report the
 // coordination evidence (tasks, steals, nodes) showing the distributed
 // machinery engaging - see EXPERIMENTS.md for the shape comparison.
+//
+// Exits non-zero if a row moves more tasks by steals than it spawned: each
+// task may cross the network at most once.
 
 #include <cstdio>
 #include <iostream>
@@ -37,7 +40,9 @@ int main() {
   std::printf("host concurrency: %u\n\n", hw);
 
   TablePrinter table({"Skeleton", "Localities", "Workers", "Time(s)",
-                      "Speedup", "Nodes", "Tasks", "RemoteSteals"});
+                      "Speedup", "Nodes", "Tasks", "RemoteSteals",
+                      "Moved/Spawned"});
+  bool pingPong = false;
 
   struct Config {
     Skel skel;
@@ -80,12 +85,19 @@ int main() {
                     TablePrinter::cell(base / t, 2),
                     std::to_string(metrics.nodesProcessed),
                     std::to_string(metrics.tasksSpawned),
-                    std::to_string(metrics.remoteSteals)});
+                    std::to_string(metrics.remoteSteals),
+                    TablePrinter::cell(metrics.movedPerSpawned(), 2)});
+      pingPong = pingPong || metrics.tasksStolen() > metrics.tasksSpawned;
     }
   }
   table.print(std::cout);
   std::printf("\npaper reference: all three skeletons speed up to 17 "
               "localities; Depth-Bounded/Budget track closely, "
               "Stack-Stealing slightly behind at scale (Fig. 4 right).\n");
+  if (pingPong) {
+    std::fprintf(stderr,
+                 "FAIL: a row moved more tasks by steals than it spawned\n");
+    return 1;
+  }
   return 0;
 }

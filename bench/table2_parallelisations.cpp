@@ -40,7 +40,7 @@ constexpr int kLocalities = 2;
 
 const int kDcutoffs[] = {1, 2, 4, 6};
 const std::uint64_t kBudgets[] = {1000, 10000, 100000, 1000000};
-const char* kChunkPolicies[] = {"one", "half", "all"};
+const char* kChunkPolicies[] = {"one", "all"};
 
 struct SweepRow {
   double worst = 0, random = 0, best = 0;
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   std::printf("== Table 2: 21 alternate parallelisations ==\n");
   std::printf("(%d localities x %d workers; speedup vs Sequential skeleton; "
               "sweeps: dcutoff {1,2,4,6}, budget {1e3..1e6}, chunk policy "
-              "{one,half,all})\n\n",
+              "{one,all})\n\n",
               kLocalities, kWorkers);
 
   TablePrinter table(

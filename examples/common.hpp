@@ -37,24 +37,8 @@ inline Params paramsFromFlags(const Flags& f) {
   p.workersPerLocality = static_cast<int>(f.getInt("workers", 1));
   p.dcutoff = static_cast<int>(f.getInt("d", 2));
   p.backtrackBudget = f.getUint64("b", 10000);
-  // --chunk-policy one|fixed[:k]|half|adaptive|all sizes every steal reply;
-  // --chunk-size k sets the fixed chunk size (and implies the fixed policy
-  // when no policy is given). An explicit policy wins over the legacy
-  // --chunked alias (= "all" for stack splits), so `--chunked
-  // --chunk-policy one` really is the unchunked baseline.
-  if (auto spec = f.raw("chunk-policy")) {
-    p.chunk = parseChunkPolicy(*spec);
-  } else {
-    p.chunked = f.getBool("chunked");
-  }
-  if (f.has("chunk-size")) {
-    const auto k = f.getUint64("chunk-size", p.chunk.k);
-    if (k < 1 || k > 0xFFFFFFFFull) {
-      throw std::invalid_argument("--chunk-size needs 1 <= k <= 2^32-1");
-    }
-    if (!f.has("chunk-policy")) p.chunk.kind = ChunkKind::Fixed;
-    p.chunk.k = static_cast<std::uint32_t>(k);
-  }
+  // --chunk-policy one|all sizes every steal reply.
+  if (auto spec = f.raw("chunk-policy")) p.chunk = parseChunkPolicy(*spec);
   p.decisionTarget = f.getInt("decisionBound", 0);
   // Ordered-skeleton pool shaping (docs/FLAGS.md): --ordered-window bounds
   // how far any worker may run ahead of the lowest outstanding sequence
@@ -242,9 +226,10 @@ void printMetrics(const Out& out) {
     // but "0 tasks/steal" misreads as "steals were empty", so say nothing.
     std::printf("chunking:  0 steal replies\n");
   } else {
-    std::printf("chunking:  %llu steal replies, %.2f tasks/steal\n",
+    std::printf("chunking:  %llu steal replies, %.2f tasks/steal, "
+                "%.2f moved/spawned\n",
                 static_cast<unsigned long long>(out.metrics.stealReplies),
-                out.metrics.tasksPerSteal());
+                out.metrics.tasksPerSteal(), out.metrics.movedPerSpawned());
   }
   // A sequential or single-locality run never touches the network; skip the
   // all-zero lines rather than print misleading "0 msgs" fabric stats.

@@ -22,9 +22,7 @@ enum class TransportKind : std::uint8_t { Sim, Tcp };
 
 // Steal-reply chunking lives with the workpools (runtime layer); re-exported
 // here because it is part of the user-facing parameter surface.
-using ChunkKind = rt::ChunkKind;
 using ChunkPolicy = rt::ChunkPolicy;
-using rt::chunkPolicyName;
 using rt::parseChunkPolicy;
 
 // The simulated transport's knobs live with the network (runtime layer);
@@ -46,21 +44,8 @@ struct Params {
   std::uint64_t backtrackBudget = 0;
 
   // Steal-reply chunking policy, applied by victims of both steal protocols
-  // (see rt::ChunkKind).
-  ChunkPolicy chunk;
-
-  // Legacy Stack-Stealing toggle: steal all lowest-depth siblings. Kept for
-  // the paper's original boolean ablation; equivalent to chunk = "all" when
-  // `chunk` is still the default "one".
-  bool chunked = false;
-
-  // The chunking policy actually in force once the legacy flag is folded in.
-  ChunkPolicy effectiveChunk() const {
-    if (chunked && chunk.kind == ChunkKind::One) {
-      return ChunkPolicy{ChunkKind::All, 0};
-    }
-    return chunk;
-  }
+  // (see rt::ChunkPolicy).
+  ChunkPolicy chunk = ChunkPolicy::One;
 
   // RandomSpawn: expected one task spawned per this many children generated
   // (Section 4's "random task creation" extension point). 0 = use default.

@@ -322,9 +322,11 @@ class EngineCtx {
     reg_.metrics.stealReplies.fetch_add(1, std::memory_order_relaxed);
     rt::trace::record(rt::trace::Ev::kStealReply, id(), reply.tasks.size(),
                       static_cast<std::uint64_t>(reply.token));
+    // Pinned: local workers run these, no steal hands them on, so a task
+    // crosses the network at most once.
     for (auto& t : reply.tasks) {
       int depth = t.depth;
-      pool_->push(std::move(t), depth);
+      pool_->pushPinned(std::move(t), depth);
       if (rt::trace::enabled()) {
         rt::trace::record(rt::trace::Ev::kPoolPush, id(),
                           static_cast<std::uint64_t>(depth), pool_->size());
@@ -351,12 +353,12 @@ class EngineCtx {
 
     // A remote idle locality asks our workpool for work. The manager
     // answers directly with a chunk sized by the chunk policy from the
-    // pool's live occupancy; pools are thread-safe.
+    // pool's stealable tasks, never more than half of them; pools are
+    // thread-safe.
     locality_.registerHandler(
         rt::tag::kPoolStealRequest, [this](rt::Message&& m) {
           auto token = fromBytes<std::int64_t>(std::move(m.payload));
-          StealReply reply{token,
-                           pool_->stealChunk(params_.effectiveChunk())};
+          StealReply reply{token, pool_->stealChunk(params_.chunk)};
           rt::trace::record(rt::trace::Ev::kStealAnswer, id(),
                             static_cast<std::uint64_t>(m.src),
                             static_cast<std::uint64_t>(token));
@@ -799,8 +801,8 @@ struct Engine {
 
   static void workerLoop(Ctx& ctx, int w) {
     auto& ws = *ctx.workers()[static_cast<std::size_t>(w)];
-    rt::trace::nameThread("L" + std::to_string(ctx.id()) + ".w" +
-                          std::to_string(w));
+    rt::trace::nameThread(
+        "L" + std::to_string(ctx.id()) + ".w" + std::to_string(w), ctx.id());
     // Phase accounting: one lap per loop boundary, attributed post-hoc (a
     // popWait span is kPopping if it yielded a task, kIdle if it timed
     // out), so the phases tile this thread's wall time exactly.

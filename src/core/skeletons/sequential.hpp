@@ -33,7 +33,7 @@ struct Sequential {
     // search, so sequential traces load in the same Perfetto view as the
     // parallel ones.
     rt::trace::SessionScope traceScope(!params.traceFile.empty());
-    rt::trace::nameThread("L0.seq");
+    rt::trace::nameThread("L0.seq", 0);
     rt::trace::record(rt::trace::Ev::kTaskRunBegin, 0, 0, 0);
     typename Ops::Reg reg;
     reg.decisionTarget = params.decisionTarget;

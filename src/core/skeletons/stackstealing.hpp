@@ -4,11 +4,10 @@
 // and Listing 3): work is split only on demand, when an idle worker sends a
 // steal request. Victims poll their steal channel on every expansion step
 // and reply with unexplored subtrees split off the lowest depths of their
-// generator stack - how many is Params::chunk's call (one subtree, a fixed/
-// half/adaptive chunk spilling across stack levels, or all lowest-depth
-// siblings; see splitLowest in subtree_search.hpp). Victim selection is
-// random; remote localities are only tried when no local worker is active,
-// matching Section 4.2's description.
+// generator stack - how many is Params::chunk's call (one subtree or all
+// lowest-depth siblings; see splitLowest in subtree_search.hpp). Victim
+// selection is random; remote localities are only tried when no local
+// worker is active, matching Section 4.2's description.
 
 #include "core/skeletons/engine.hpp"
 #include "core/skeletons/subtree_search.hpp"

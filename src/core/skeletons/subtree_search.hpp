@@ -16,31 +16,23 @@
 
 namespace yewpar::detail {
 
-// Split off unexplored subtrees from the generator stack, lowest depth first
-// (closest to the root, hence heuristically the largest). How many is the
-// chunk policy's call - the (spawn-stack) rule generalised from the paper's
-// one/all-siblings pair:
-//   * One takes a single node and All takes every sibling at the lowest
-//     splittable depth (the original boolean `chunked` variants);
-//   * Fixed/Half/Adaptive take up to chunkFor(stack depth) nodes, spilling
-//     into deeper stack levels when the lowest level runs out, so one reply
-//     can carry splits from several depths (multi-split replies). The
-//     generator-stack depth stands in for the victim's pool size here.
-// The caller is responsible for counting the tasks as created.
+// Split off unexplored subtrees at the lowest depth of the generator stack
+// (closest to the root, hence heuristically the largest) - the paper's
+// (spawn-stack) rule: One takes a single node, All every unexplored sibling
+// at that depth. The caller is responsible for counting the tasks as
+// created.
 template <typename Ctx, typename Gen>
 std::vector<typename Ctx::Task> splitLowest(Ctx&, std::vector<Gen>& genStack,
                                             int rootDepth,
-                                            const ChunkPolicy& chunk) {
+                                            ChunkPolicy chunk) {
   std::vector<typename Ctx::Task> out;
-  const bool all = chunk.kind == ChunkKind::All;
-  const std::size_t want = all ? 0 : chunk.chunkFor(genStack.size());
   for (std::size_t gi = 0; gi < genStack.size(); ++gi) {
     if (!genStack[gi].hasNext()) continue;
     const auto depth = rootDepth + static_cast<std::int32_t>(gi) + 1;
-    while (genStack[gi].hasNext() && (all || out.size() < want)) {
+    do {
       out.push_back({genStack[gi].next(), depth});
-    }
-    if (all || out.size() >= want) break;
+    } while (chunk == ChunkPolicy::All && genStack[gi].hasNext());
+    break;
   }
   return out;
 }
@@ -52,7 +44,7 @@ void pollStealRequests(Ctx& ctx, WS& ws, std::vector<Gen>& genStack,
                        int rootDepth) {
   auto& metrics = ctx.reg().metrics;
 
-  const ChunkPolicy chunk = ctx.params().effectiveChunk();
+  const ChunkPolicy chunk = ctx.params().chunk;
 
   if (ws.stealChan.hasRequest()) {
     auto tasks = splitLowest(ctx, genStack, rootDepth, chunk);
@@ -96,7 +88,6 @@ void pollStealRequests(Ctx& ctx, WS& ws, std::vector<Gen>& genStack,
 template <bool PollSteals, typename Gen, typename Ctx, typename WS>
 void subtreeSearch(Ctx& ctx, WS& ws, const typename Ctx::Node& root,
                    int rootDepth, std::uint64_t budget) {
-  using Task = typename Ctx::Task;
   using Ops = typename Ctx::Ops;
   auto& reg = ctx.reg();
 
@@ -114,14 +105,9 @@ void subtreeSearch(Ctx& ctx, WS& ws, const typename Ctx::Node& root,
 
     // (spawn-budget): offload all unexplored lowest-depth subtrees.
     if (budget != 0 && backtracks >= budget) {
-      for (std::size_t gi = 0; gi < genStack.size(); ++gi) {
-        if (genStack[gi].hasNext()) {
-          const auto depth = rootDepth + static_cast<std::int32_t>(gi) + 1;
-          while (genStack[gi].hasNext()) {
-            ctx.spawn(Task{genStack[gi].next(), depth});
-          }
-          break;
-        }
+      for (auto& t :
+           splitLowest(ctx, genStack, rootDepth, ChunkPolicy::All)) {
+        ctx.spawn(std::move(t));
       }
       backtracks = 0;
       continue;

@@ -30,7 +30,7 @@ Locality::Handler Locality::findHandler(int tagId) {
 
 void Locality::managerLoop() {
   using namespace std::chrono_literals;
-  trace::nameThread("L" + std::to_string(id_) + ".mgr");
+  trace::nameThread("L" + std::to_string(id_) + ".mgr", id_);
   while (true) {
     std::optional<Message> msg;
     try {

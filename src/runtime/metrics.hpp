@@ -93,6 +93,15 @@ struct MetricsSnapshot {
                      static_cast<double>(stealReplies);
   }
 
+  // Tasks moved by steals per task spawned. A task is stolen at most once
+  // (received tasks are pinned; see runtime/workpool.hpp), so this stays
+  // <= 1 over a whole job; a single rank's share can exceed it.
+  double movedPerSpawned() const {
+    return tasksSpawned == 0 ? 0.0
+                             : static_cast<double>(tasksStolen()) /
+                                   static_cast<double>(tasksSpawned);
+  }
+
   // Approximate simulated-latency percentile from the histogram: the upper
   // bound of the bucket containing the q-quantile message, in microseconds.
   // Returns 0 when no latency was recorded.

@@ -108,6 +108,9 @@ std::string renderMetrics(const std::vector<RankStatus>& ranks) {
       "# TYPE yewpar_nodes_processed_total counter\n"
       "# TYPE yewpar_tasks_spawned_total counter\n"
       "# TYPE yewpar_steals_total counter\n"
+      "# HELP yewpar_steal_moved_per_spawned Tasks moved by steals per task "
+      "spawned, as counted on this rank (<= 1 job-wide).\n"
+      "# TYPE yewpar_steal_moved_per_spawned gauge\n"
       "# TYPE yewpar_worker_phase_seconds_total counter\n"
       "# TYPE yewpar_pool_depth gauge\n"
       "# TYPE yewpar_health_rule_firing gauge\n"
@@ -132,6 +135,8 @@ std::string renderMetrics(const std::vector<RankStatus>& ranks) {
                  "\n",
             r.rank, m.failedSteals);
     counter(out, "steal_replies_total", r.rank, m.stealReplies);
+    appendf(out, "yewpar_steal_moved_per_spawned{rank=\"%d\"} %.6f\n",
+            r.rank, m.movedPerSpawned());
     counter(out, "bound_broadcasts_total", r.rank, m.boundBroadcasts);
     counter(out, "bound_updates_applied_total", r.rank,
             m.boundUpdatesApplied);

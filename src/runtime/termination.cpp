@@ -68,7 +68,7 @@ void TerminationDetector::stop() {
 
 void TerminationDetector::leaderLoop() {
   using namespace std::chrono_literals;
-  trace::nameThread("L0.term");
+  trace::nameThread("L0.term", 0);
   std::uint64_t prevCreated = ~std::uint64_t{0};
   std::uint64_t prevCompleted = ~std::uint64_t{0};
   int round = 0;

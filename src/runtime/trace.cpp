@@ -19,7 +19,9 @@ namespace {
 // consistent prefix. Slots below `count` are immutable once published.
 struct ThreadBuffer {
   std::uint16_t tid = 0;
-  std::string name;  // guarded by the registry mutex (set once, rarely)
+  // Guarded by the registry mutex (set once, rarely).
+  std::string name;
+  std::int32_t nameRank = -1;
   std::size_t capacity = 0;
   std::unique_ptr<Event[]> slots;
   std::atomic<std::size_t> count{0};
@@ -91,12 +93,13 @@ void recordSlow(Ev kind, int rank, std::uint64_t a, std::uint64_t b) {
   buf->count.store(idx + 1, std::memory_order_release);
 }
 
-void nameThreadSlow(const std::string& name) {
+void nameThreadSlow(const std::string& name, int rank) {
   ThreadBuffer* buf = myBuffer();
   if (buf == nullptr) return;
   auto& reg = registry();
   LockGuard lock(reg.mtx);
   buf->name = name;
+  buf->nameRank = rank;
 }
 
 }  // namespace detail
@@ -138,8 +141,13 @@ Batch Session::collect(int rankFilter) {
       out.events.push_back(e);
     }
     out.dropped += buf->dropped.load(std::memory_order_relaxed);
-    if (!buf->name.empty()) {
-      out.threadNames.push_back({buf->tid, buf->name});
+    // A name goes on the rank the thread was named for (so an idle thread
+    // keeps its track), else on the rank of its first event.
+    const std::int32_t nameRank =
+        buf->nameRank >= 0 ? buf->nameRank : (n > 0 ? buf->slots[0].rank : -1);
+    if (!buf->name.empty() && nameRank >= 0 &&
+        (rankFilter < 0 || nameRank == rankFilter)) {
+      out.threadNames.push_back({buf->tid, nameRank, buf->name});
     }
   }
   return out;
@@ -255,17 +263,17 @@ void writeChromeJson(const std::string& path,
     first = false;
   };
 
-  // Metadata: process names per rank, thread names per (rank, tid). A tid
-  // is attributed to the rank(s) it recorded events for.
-  std::vector<std::pair<std::int32_t, std::uint16_t>> namedTracks;
+  // Metadata: process names per rank, thread names per (rank, tid).
   for (const auto& b : batches) {
     std::vector<std::int32_t> ranksSeen;
-    for (const auto& e : b.events) {
-      if (std::find(ranksSeen.begin(), ranksSeen.end(), e.rank) ==
+    const auto seeRank = [&ranksSeen](std::int32_t r) {
+      if (std::find(ranksSeen.begin(), ranksSeen.end(), r) ==
           ranksSeen.end()) {
-        ranksSeen.push_back(e.rank);
+        ranksSeen.push_back(r);
       }
-    }
+    };
+    for (const auto& e : b.events) seeRank(e.rank);
+    for (const auto& tn : b.threadNames) seeRank(tn.rank);
     std::sort(ranksSeen.begin(), ranksSeen.end());
     for (const auto r : ranksSeen) {
       sep();
@@ -275,21 +283,11 @@ void writeChromeJson(const std::string& path,
                    r, r);
     }
     for (const auto& tn : b.threadNames) {
-      for (const auto& e : b.events) {
-        if (e.tid != tn.tid) continue;
-        const auto key = std::make_pair(e.rank, e.tid);
-        if (std::find(namedTracks.begin(), namedTracks.end(), key) !=
-            namedTracks.end()) {
-          break;
-        }
-        namedTracks.push_back(key);
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,"
-                     "\"tid\":%u,\"args\":{\"name\":\"%s\"}}",
-                     e.rank, static_cast<unsigned>(e.tid), tn.name.c_str());
-        break;
-      }
+      sep();
+      std::fprintf(f,
+                   "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,"
+                   "\"tid\":%u,\"args\":{\"name\":\"%s\"}}",
+                   tn.rank, static_cast<unsigned>(tn.tid), tn.name.c_str());
     }
   }
 

@@ -95,7 +95,7 @@ inline std::uint64_t nowNanos() {
 namespace detail {
 extern std::atomic<bool> gEnabled;
 void recordSlow(Ev kind, int rank, std::uint64_t a, std::uint64_t b);
-void nameThreadSlow(const std::string& name);
+void nameThreadSlow(const std::string& name, int rank);
 }  // namespace detail
 
 // The benchmarked disabled path: one relaxed load and a branch.
@@ -110,10 +110,12 @@ inline void record(Ev kind, int rank, std::uint64_t a = 0,
 }
 
 // Label the calling thread's track in the exported trace (e.g. "L0.w1",
-// "L0.mgr", "tcp.rx1"). No-op while tracing is disarmed.
-inline void nameThread(const std::string& name) {
+// "L0.mgr", "tcp.rx1"). A thread named for a rank keeps its track on that
+// rank even if it never records an event; with rank < 0 the track goes to
+// the rank of the thread's first event. No-op while tracing is disarmed.
+inline void nameThread(const std::string& name, int rank = -1) {
   if (!enabled()) return;
-  detail::nameThreadSlow(name);
+  detail::nameThreadSlow(name, rank);
 }
 
 // Events harvested from one rank (or a whole sim process). This is what a
@@ -132,10 +134,11 @@ struct Batch {
 
   struct ThreadName {
     std::uint16_t tid = 0;
+    std::int32_t rank = 0;  // the rank whose track carries the name
     std::string name;
 
-    void save(OArchive& ar) const { ar << tid << name; }
-    void load(IArchive& ar) { ar >> tid >> name; }
+    void save(OArchive& ar) const { ar << tid << rank << name; }
+    void load(IArchive& ar) { ar >> tid >> rank >> name; }
   };
   std::vector<ThreadName> threadNames;
 

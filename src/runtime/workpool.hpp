@@ -17,47 +17,47 @@
 //
 //   pool          local pop                  steal / stealMany
 //   ------------  -------------------------  --------------------------------
-//   DepthPool     shallowest bucket, FRONT   shallowest bucket, BACK: thieves
-//                 (heuristic-best first)     receive same-depth (hence large)
+//   DepthPool     shallowest bucket, FRONT;  shallowest bucket holding a
+//                 at equal depth pinned      stealable task, BACK: thieves
+//                 tasks go first             receive same-depth (hence large)
 //                                            subtrees while the heuristic-
 //                                            best tasks stay with the local
 //                                            workers; a stolen chunk keeps
 //                                            its relative FIFO order
-//   DequePool     back (LIFO) or front       FRONT: the oldest tasks, closest
-//                 (FIFO) per constructor     to the root
-//   PriorityPool  lowest sequence number     lowest sequence number: the
-//                                            global order is the guarantee,
-//                                            so there is no distinct steal
-//                                            end; a stolen chunk is handed
-//                                            out in ascending sequence order
-//   Sharded-      own shard's lowest, if     lowest sequence number across
-//   PriorityPool  within the sequence        all shards (always within the
-//                 window; else the lowest    window); a chunk is handed out
-//                 across all shards          in ascending sequence order
+//   DequePool     pinned tasks first, then   FRONT: the oldest tasks, closest
+//                 back (LIFO) or front       to the root
+//                 (FIFO) per constructor
+//   PriorityPool  lowest sequence number,    lowest stealable sequence
+//                 pinned or not              number; a stolen chunk is
+//                                            handed out in ascending order
+//   Sharded-      own shard's lowest, if     lowest stealable sequence number
+//   PriorityPool  within the sequence        across all shards (always within
+//                 window; else the lowest    the window); a chunk is handed
+//                 across all shards, the     out in ascending sequence order
+//                 pinned one included
 //
-// All pools support chunked hand-out (steal replies carrying several tasks
-// in one message): stealMany(k) for an explicit count, stealChunk(policy)
-// to size the chunk from the pool's live occupancy under the same lock that
-// takes the tasks, steal() as the k == 1 special case.
+// Two rules hold for every pool, so a remote steal can never ping-pong:
 //
-// Who calls what: local workers pop(); same-locality thieves steal();
-// the engine's manager thread answers a remote kPoolStealRequest with
-// stealChunk(Params::effectiveChunk()) - one ChunkPolicy drives both steal
-// protocols (these pool steals and the Stack-Stealing generator-stack
-// splits in skeletons/stackstealing.hpp). Adaptive's ~sqrt(victim depth)
-// gives thieves more when the victim is loaded while the victim always
-// keeps the bulk; the legacy boolean `chunked` flag maps to All. Chunked
-// replies raise tasks-per-steal above 1 and cut message counts for the
-// same work moved (bench/ablation_chunking); no policy may change a search
-// result (tests/test_chunking.cpp).
+//   - The victim keeps half. stealChunk(policy) takes chunkSize(policy,
+//     stealable) tasks under the same lock that takes them: one under `one`,
+//     half the stealable tasks (at least one) under `all`.
+//   - A received task is pinned. Tasks arriving in a remote steal reply go
+//     in with pushPinned(): local pops hand them out like any other task,
+//     but no steal ever does, so each task crosses the network at most once
+//     and tasks moved <= tasks spawned holds by construction.
+//
+// Who calls what: local workers pop(); the engine's manager thread answers a
+// remote kPoolStealRequest with stealChunk(Params::chunk) and pushes the
+// thief's reply with pushPinned(). No policy may change a search result
+// (tests/test_chunking.cpp).
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -84,88 +84,29 @@ enum class PoolPolicy {
 inline constexpr std::uint64_t kNoSeqWindow = ~std::uint64_t{0};
 
 // How many tasks a single steal reply carries (paper Section 4.2's chunking
-// ablation, generalised from the boolean `chunked` flag to a policy). The
-// same policy drives both steal protocols: pool steals (Depth-Bounded /
-// Budget / Ordered victims hand out workpool tasks) and stack steals
-// (Stack-Stealing victims split their generator stack).
-enum class ChunkKind : std::uint8_t {
-  One,       // one task per reply (the unchunked baseline)
-  Fixed,     // up to k tasks per reply
-  Half,      // half of the victim's available work
-  Adaptive,  // ~sqrt of the victim's available work: the thief receives more
-             // when the victim is loaded, the victim always keeps the bulk
-  All,       // everything available at the split point; for stack splits this
-             // is all siblings at the lowest depth - the legacy `chunked`
+// ablation). The same policy drives both steal protocols: pool steals
+// (Depth-Bounded / Budget / Ordered victims hand out workpool tasks) and
+// stack steals (Stack-Stealing victims split their generator stack).
+enum class ChunkPolicy : std::uint8_t {
+  One,  // one task per reply (the unchunked baseline)
+  All,  // everything the victim can spare: half its stealable pool tasks,
+        // or every unexplored sibling at the lowest generator-stack depth
 };
 
-struct ChunkPolicy {
-  ChunkKind kind = ChunkKind::One;
-  std::uint32_t k = 4;  // chunk size when kind == Fixed
-
-  // Number of tasks a steal reply should aim to carry, given the victim's
-  // currently available work (workpool size, or generator-stack depth as a
-  // proxy for stack splits). Always >= 1 so a lone task can still move.
-  std::size_t chunkFor(std::size_t available) const {
-    switch (kind) {
-      case ChunkKind::One: return 1;
-      case ChunkKind::Fixed: return k > 0 ? k : 1;
-      case ChunkKind::Half: return available / 2 > 1 ? available / 2 : 1;
-      case ChunkKind::Adaptive: {
-        std::size_t c = 1;
-        while ((c + 1) * (c + 1) <= available) ++c;  // floor(sqrt(available))
-        return c;
-      }
-      case ChunkKind::All: return available > 0 ? available : 1;
-    }
-    return 1;
-  }
-};
-
-// Parse "one" | "fixed[:k]" | "half" | "adaptive" | "all" (the
-// `--chunk-policy` flag syntax). Throws std::invalid_argument on anything
-// else, including fixed:k with k outside [1, 2^32-1].
-inline ChunkPolicy parseChunkPolicy(const std::string& spec) {
-  ChunkPolicy p;
-  if (spec == "one") return p;
-  if (spec == "half") {
-    p.kind = ChunkKind::Half;
-    return p;
-  }
-  if (spec == "adaptive") {
-    p.kind = ChunkKind::Adaptive;
-    return p;
-  }
-  if (spec == "all") {
-    p.kind = ChunkKind::All;
-    return p;
-  }
-  if (spec == "fixed" || spec.rfind("fixed:", 0) == 0) {
-    p.kind = ChunkKind::Fixed;
-    if (spec != "fixed") {
-      const char* begin = spec.c_str() + 6;
-      char* end = nullptr;
-      const unsigned long long k = std::strtoull(begin, &end, 10);
-      if (end == begin || *end != '\0' || k < 1 || k > 0xFFFFFFFFull) {
-        throw std::invalid_argument(
-            "chunk policy needs fixed:k with 1 <= k <= 2^32-1: " + spec);
-      }
-      p.k = static_cast<std::uint32_t>(k);
-    }
-    return p;
-  }
-  throw std::invalid_argument("unknown chunk policy: " + spec +
-                              " (expected one|fixed[:k]|half|adaptive|all)");
+// Tasks a pool steal takes from a victim holding `stealable` stealable
+// tasks: the victim-keeps-half rule, decided here for every pool.
+inline std::size_t chunkSize(ChunkPolicy p, std::size_t stealable) {
+  if (stealable == 0) return 0;
+  return p == ChunkPolicy::One ? 1 : std::max<std::size_t>(1, stealable / 2);
 }
 
-inline std::string chunkPolicyName(const ChunkPolicy& p) {
-  switch (p.kind) {
-    case ChunkKind::One: return "one";
-    case ChunkKind::Fixed: return "fixed:" + std::to_string(p.k);
-    case ChunkKind::Half: return "half";
-    case ChunkKind::Adaptive: return "adaptive";
-    case ChunkKind::All: return "all";
-  }
-  return "?";
+// Parse "one" | "all" (the `--chunk-policy` flag syntax). Throws
+// std::invalid_argument on anything else.
+inline ChunkPolicy parseChunkPolicy(const std::string& spec) {
+  if (spec == "one") return ChunkPolicy::One;
+  if (spec == "all") return ChunkPolicy::All;
+  throw std::invalid_argument("unknown chunk policy: " + spec +
+                              " (expected one|all)");
 }
 
 // LockGuard that counts contended acquisitions: a failed try_lock before
@@ -214,17 +155,21 @@ class Workpool {
   // (0 for pools that do not track it). Monotone; read at any time.
   virtual std::uint64_t lockContentions() const { return 0; }
 
-  // Chunked steal for another worker/locality: up to `k` tasks in one
-  // hand-out, taken from the policy's steal end (see the table above) and
-  // preserving the policy's order among the returned tasks. Returns fewer
-  // (possibly zero) tasks when the pool runs dry.
+  // A task received in a remote steal reply: popped like any other task,
+  // never handed out by a steal (see "a received task is pinned" above).
+  virtual void pushPinned(T task, int depth) = 0;
+
+  // Chunked steal: up to `k` stealable tasks in one hand-out, taken from the
+  // policy's steal end (see the table above) and preserving the policy's
+  // order among the returned tasks. Returns fewer (possibly zero) tasks when
+  // the pool runs out of stealable tasks.
   virtual std::vector<T> stealMany(std::size_t k) = 0;
 
-  // Policy-sized chunked steal: chunkFor(pool size) and the task grab
-  // happen under one lock, so Half/Adaptive/All size from the occupancy
-  // they actually take from.
-  virtual std::vector<T> stealChunk(const ChunkPolicy& policy) = 0;
+  // Policy-sized steal for a remote thief: chunkSize(policy, stealable
+  // tasks) and the task grab happen under one lock.
+  virtual std::vector<T> stealChunk(ChunkPolicy policy) = 0;
 
+  // All tasks held, pinned ones included.
   virtual std::size_t size() const = 0;
 
   // Single-task steal: the k == 1 chunk.
@@ -278,27 +223,22 @@ class DepthPool final : public Workpool<T> {
   using Workpool<T>::push;
   using Workpool<T>::pop;
 
-  void push(T task, int depth) override EXCLUDES(mtx_) {
-    {
-      LockGuard lock(mtx_);
-      buckets_[depth].push_back(std::move(task));
-      ++count_;
-    }
-    this->notifyWaiters();
+  void push(T task, int depth) override { add(std::move(task), depth, false); }
+  void pushPinned(T task, int depth) override {
+    add(std::move(task), depth, true);
   }
 
   // Local pop: front of the shallowest bucket (heuristic-best first).
   std::optional<T> pop() override EXCLUDES(mtx_) {
     LockGuard lock(mtx_);
     for (auto it = buckets_.begin(); it != buckets_.end();) {
-      if (it->second.empty()) {
-        it = buckets_.erase(it);
-        continue;
+      Bucket& b = it->second;
+      if (!b.pinned.empty()) return takeFront(b.pinned);
+      if (!b.free.empty()) {
+        --stealable_;
+        return takeFront(b.free);
       }
-      T t = std::move(it->second.front());
-      it->second.pop_front();
-      --count_;
-      return t;
+      it = buckets_.erase(it);
     }
     return std::nullopt;
   }
@@ -308,10 +248,9 @@ class DepthPool final : public Workpool<T> {
     return stealLocked(k);
   }
 
-  std::vector<T> stealChunk(const ChunkPolicy& policy) override
-      EXCLUDES(mtx_) {
+  std::vector<T> stealChunk(ChunkPolicy policy) override EXCLUDES(mtx_) {
     LockGuard lock(mtx_);
-    return stealLocked(policy.chunkFor(count_));
+    return stealLocked(chunkSize(policy, stealable_));
   }
 
   std::size_t size() const override EXCLUDES(mtx_) {
@@ -320,36 +259,57 @@ class DepthPool final : public Workpool<T> {
   }
 
  private:
-  // Steal under mtx_: back of the shallowest bucket - same depth (hence
-  // comparably large subtrees) as a local pop would get, but the heuristic-
-  // best front stays local. A chunk keeps its relative FIFO order; when the
-  // shallowest bucket cannot fill it, the remainder comes from the next
-  // deeper bucket.
+  // One depth's tasks, FIFO each: received (pinned) and stealable ones.
+  struct Bucket {
+    std::deque<T> pinned;
+    std::deque<T> free;
+  };
+
+  void add(T task, int depth, bool pinned) EXCLUDES(mtx_) {
+    {
+      LockGuard lock(mtx_);
+      Bucket& b = buckets_[depth];
+      (pinned ? b.pinned : b.free).push_back(std::move(task));
+      ++count_;
+      if (!pinned) ++stealable_;
+    }
+    this->notifyWaiters();
+  }
+
+  T takeFront(std::deque<T>& dq) REQUIRES(mtx_) {
+    T t = std::move(dq.front());
+    dq.pop_front();
+    --count_;
+    return t;
+  }
+
+  // Steal under mtx_: back of the shallowest stealable tasks - same depth
+  // (hence comparably large subtrees) as a local pop would get, but the
+  // heuristic-best front stays local. A chunk keeps its relative FIFO
+  // order; when the shallowest bucket cannot fill it, the remainder comes
+  // from the next deeper bucket.
   std::vector<T> stealLocked(std::size_t k) REQUIRES(mtx_) {
     std::vector<T> out;
-    for (auto it = buckets_.begin();
-         it != buckets_.end() && out.size() < k;) {
-      auto& dq = it->second;
-      if (dq.empty()) {
-        it = buckets_.erase(it);
-        continue;
-      }
-      const std::size_t take = std::min(k - out.size(), dq.size());
-      const auto first = dq.end() - static_cast<std::ptrdiff_t>(take);
-      for (auto src = first; src != dq.end(); ++src) {
-        out.push_back(std::move(*src));
-      }
-      dq.erase(first, dq.end());
+    for (auto it = buckets_.begin(); it != buckets_.end() && out.size() < k;) {
+      Bucket& b = it->second;
+      const std::size_t take = std::min(k - out.size(), b.free.size());
+      const auto first = b.free.end() - static_cast<std::ptrdiff_t>(take);
+      out.insert(out.end(), std::make_move_iterator(first),
+                 std::make_move_iterator(b.free.end()));
+      b.free.erase(first, b.free.end());
       count_ -= take;
-      ++it;
+      stealable_ -= take;
+      it = b.pinned.empty() && b.free.empty() ? buckets_.erase(it)
+                                              : std::next(it);
     }
     return out;
   }
 
   mutable Mutex mtx_;
   // Ordered by depth, shallow first.
-  std::map<int, std::deque<T>> buckets_ GUARDED_BY(mtx_);
+  std::map<int, Bucket> buckets_ GUARDED_BY(mtx_);
   std::size_t count_ GUARDED_BY(mtx_) = 0;
+  std::size_t stealable_ GUARDED_BY(mtx_) = 0;
 };
 
 template <typename T>
@@ -360,24 +320,22 @@ class DequePool final : public Workpool<T> {
 
   explicit DequePool(bool lifoLocal) : lifoLocal_(lifoLocal) {}
 
-  void push(T task, int /*depth*/) override EXCLUDES(mtx_) {
-    {
-      LockGuard lock(mtx_);
-      q_.push_back(std::move(task));
-    }
-    this->notifyWaiters();
+  void push(T task, int /*depth*/) override { add(std::move(task), false); }
+  void pushPinned(T task, int /*depth*/) override {
+    add(std::move(task), true);
   }
 
   std::optional<T> pop() override EXCLUDES(mtx_) {
     LockGuard lock(mtx_);
-    if (q_.empty()) return std::nullopt;
+    std::deque<T>& dq = pinned_.empty() ? q_ : pinned_;
+    if (dq.empty()) return std::nullopt;
     T t;
     if (lifoLocal_) {
-      t = std::move(q_.back());
-      q_.pop_back();
+      t = std::move(dq.back());
+      dq.pop_back();
     } else {
-      t = std::move(q_.front());
-      q_.pop_front();
+      t = std::move(dq.front());
+      dq.pop_front();
     }
     return t;
   }
@@ -387,19 +345,27 @@ class DequePool final : public Workpool<T> {
     return stealLocked(k);
   }
 
-  std::vector<T> stealChunk(const ChunkPolicy& policy) override
-      EXCLUDES(mtx_) {
+  std::vector<T> stealChunk(ChunkPolicy policy) override EXCLUDES(mtx_) {
     LockGuard lock(mtx_);
-    return stealLocked(policy.chunkFor(q_.size()));
+    return stealLocked(chunkSize(policy, q_.size()));
   }
 
   std::size_t size() const override EXCLUDES(mtx_) {
     LockGuard lock(mtx_);
-    return q_.size();
+    return q_.size() + pinned_.size();
   }
 
  private:
-  // Steal under mtx_: the oldest tasks (closest to the root), oldest first.
+  void add(T task, bool pinned) EXCLUDES(mtx_) {
+    {
+      LockGuard lock(mtx_);
+      (pinned ? pinned_ : q_).push_back(std::move(task));
+    }
+    this->notifyWaiters();
+  }
+
+  // Steal under mtx_: the oldest stealable tasks (closest to the root),
+  // oldest first.
   std::vector<T> stealLocked(std::size_t k) REQUIRES(mtx_) {
     std::vector<T> out;
     const std::size_t take = std::min(k, q_.size());
@@ -413,6 +379,7 @@ class DequePool final : public Workpool<T> {
 
   mutable Mutex mtx_;
   std::deque<T> q_ GUARDED_BY(mtx_);
+  std::deque<T> pinned_ GUARDED_BY(mtx_);
   bool lifoLocal_;
 };
 
@@ -432,19 +399,19 @@ class PriorityPool final : public Workpool<T> {
   using Workpool<T>::push;
   using Workpool<T>::pop;
 
-  void push(T task, int /*depth*/) override EXCLUDES(mtx_) {
-    {
-      CountingLockGuard lock(mtx_, contentions_);
-      heap_.push_back(std::move(task));
-      std::push_heap(heap_.begin(), heap_.end(), cmp);
-    }
-    this->notifyWaiters();
+  void push(T task, int /*depth*/) override { add(std::move(task), false); }
+  void pushPinned(T task, int /*depth*/) override {
+    add(std::move(task), true);
   }
 
+  // The lower of the two heap tops, pinned or not.
   std::optional<T> pop() override EXCLUDES(mtx_) {
     CountingLockGuard lock(mtx_, contentions_);
-    if (heap_.empty()) return std::nullopt;
-    return takeTop();
+    if (heap_.empty() && pinned_.empty()) return std::nullopt;
+    const bool pinnedFirst =
+        heap_.empty() ||
+        (!pinned_.empty() && pinned_.front().seq < heap_.front().seq);
+    return takeTop(pinnedFirst ? pinned_ : heap_);
   }
 
   std::vector<T> stealMany(std::size_t k) override EXCLUDES(mtx_) {
@@ -452,15 +419,14 @@ class PriorityPool final : public Workpool<T> {
     return stealLocked(k);
   }
 
-  std::vector<T> stealChunk(const ChunkPolicy& policy) override
-      EXCLUDES(mtx_) {
+  std::vector<T> stealChunk(ChunkPolicy policy) override EXCLUDES(mtx_) {
     CountingLockGuard lock(mtx_, contentions_);
-    return stealLocked(policy.chunkFor(heap_.size()));
+    return stealLocked(chunkSize(policy, heap_.size()));
   }
 
   std::size_t size() const override EXCLUDES(mtx_) {
     LockGuard lock(mtx_);
-    return heap_.size();
+    return heap_.size() + pinned_.size();
   }
 
   // Contended acquisitions on the one global mutex, across every task
@@ -473,26 +439,37 @@ class PriorityPool final : public Workpool<T> {
  private:
   static bool cmp(const T& a, const T& b) { return a.seq > b.seq; }
 
+  void add(T task, bool pinned) EXCLUDES(mtx_) {
+    {
+      CountingLockGuard lock(mtx_, contentions_);
+      std::vector<T>& heap = pinned ? pinned_ : heap_;
+      heap.push_back(std::move(task));
+      std::push_heap(heap.begin(), heap.end(), cmp);
+    }
+    this->notifyWaiters();
+  }
+
   std::vector<T> stealLocked(std::size_t k) REQUIRES(mtx_) {
     std::vector<T> out;
     const std::size_t take = std::min(k, heap_.size());
     out.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(takeTop());
+      out.push_back(takeTop(heap_));
     }
     return out;
   }
 
   // Caller holds mtx_ and guarantees the heap is non-empty.
-  T takeTop() REQUIRES(mtx_) {
-    std::pop_heap(heap_.begin(), heap_.end(), cmp);
-    T t = std::move(heap_.back());
-    heap_.pop_back();
+  T takeTop(std::vector<T>& heap) REQUIRES(mtx_) {
+    std::pop_heap(heap.begin(), heap.end(), cmp);
+    T t = std::move(heap.back());
+    heap.pop_back();
     return t;
   }
 
   mutable Mutex mtx_;
   std::vector<T> heap_ GUARDED_BY(mtx_);
+  std::vector<T> pinned_ GUARDED_BY(mtx_);
   mutable std::atomic<std::uint64_t> contentions_{0};
 };
 
@@ -504,9 +481,10 @@ class PriorityPool final : public Workpool<T> {
 //   - one min-heap *shard* per engine worker, each under its own mutex. A
 //     task pushed by worker w lands in shard w % nShards, so w's local pops
 //     normally touch only w's shard lock. Unattributed pushes (worker < 0:
-//     the root task, steal-reply reintegration by the manager thread, and
-//     the Ordered skeleton's bulk prefix expansion - all spawned by one
-//     thread) round-robin across shards to spread the initial frontier.
+//     the root task and the Ordered skeleton's bulk prefix expansion - all
+//     spawned by one thread) round-robin across shards to spread the
+//     initial frontier. Pinned tasks (remote steal replies) live in one
+//     extra shard that pops see and steals skip.
 //   - each shard *publishes* its current minimum sequence number in an
 //     atomic (kNoSeqWindow when empty), written under the shard lock on
 //     every heap change. The *low-water mark* - the lowest outstanding seq
@@ -515,7 +493,8 @@ class PriorityPool final : public Workpool<T> {
 //   - the *sequence window* bounds run-ahead: a local pop may take its own
 //     shard's top only if top.seq <= lowWater + window (saturating).
 //     Otherwise - and for every steal - the pool hands out the globally
-//     lowest published task (lock one shard, re-verify, bounded retries).
+//     lowest published task (lock one shard, re-verify, bounded retries;
+//     steals skip the pinned shard).
 //     The global minimum is by definition within any window, so a pop on a
 //     non-empty pool always yields a task: the window shapes WHICH task
 //     runs next, never whether one runs (no starvation, window=0 included).
@@ -541,15 +520,16 @@ class ShardedPriorityPool final : public Workpool<T> {
   explicit ShardedPriorityPool(int shards = 1,
                                std::uint64_t window = kNoSeqWindow,
                                int traceRank = 0)
-      : window_(window), traceRank_(traceRank) {
-    const int n = shards > 0 ? shards : 1;
-    shards_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
+      : nShards_(shards > 0 ? shards : 1),
+        window_(window),
+        traceRank_(traceRank) {
+    // One more shard than routing uses: the last holds the pinned tasks.
+    for (int i = 0; i <= nShards_; ++i) {
       shards_.push_back(std::make_unique<Shard>());
     }
   }
 
-  int shardCount() const { return static_cast<int>(shards_.size()); }
+  int shardCount() const { return nShards_; }
   std::uint64_t window() const { return window_; }
 
   // Lowest outstanding sequence number across all shards (kNoSeqWindow when
@@ -578,6 +558,9 @@ class ShardedPriorityPool final : public Workpool<T> {
     pushTo(shard, std::move(task));
   }
   void push(T task, int depth) override { push(std::move(task), depth, -1); }
+  void pushPinned(T task, int /*depth*/) override {
+    pushTo(nShards_, std::move(task));
+  }
 
   std::optional<T> pop(int worker) override {
     if (worker >= 0) {
@@ -591,7 +574,7 @@ class ShardedPriorityPool final : public Workpool<T> {
         return t;
       }
     }
-    std::optional<T> t = popMin();
+    std::optional<T> t = popMin(/*withPinned=*/true);
     if (t) {
       trace::record(trace::Ev::kShardPop, traceRank_,
                     static_cast<std::uint64_t>(lastTakenShard_.load(
@@ -602,15 +585,15 @@ class ShardedPriorityPool final : public Workpool<T> {
   }
   std::optional<T> pop() override { return pop(-1); }
 
-  // Steals always take the globally lowest published task, one shard lock
-  // per task; a chunk is sorted ascending before hand-out so a thief
+  // Steals always take the globally lowest published stealable task, one
+  // shard lock per task; a chunk is sorted ascending before hand-out so a thief
   // replaying it through its own pool preserves the global order even when
   // concurrent pushes interleave lower sequence numbers mid-grab.
   std::vector<T> stealMany(std::size_t k) override {
     std::vector<T> out;
     out.reserve(std::min(k, size()));
     while (out.size() < k) {
-      auto t = popMin();
+      auto t = popMin(/*withPinned=*/false);
       if (!t) break;
       trace::record(trace::Ev::kShardSteal, traceRank_,
                     static_cast<std::uint64_t>(
@@ -623,11 +606,13 @@ class ShardedPriorityPool final : public Workpool<T> {
     return out;
   }
 
-  std::vector<T> stealChunk(const ChunkPolicy& policy) override {
+  std::vector<T> stealChunk(ChunkPolicy policy) override {
     // Unlike the single-mutex pools there is no one lock to size under;
-    // the atomic total is the occupancy snapshot. Half/Adaptive sizing from
-    // a count that moves under us is already approximate by design.
-    return stealMany(policy.chunkFor(size()));
+    // the atomic counts are the occupancy snapshot, so the half is
+    // approximate while other threads push and pop.
+    const std::size_t all = size();
+    const std::size_t pinned = pinned_.load(std::memory_order_acquire);
+    return stealMany(chunkSize(policy, all > pinned ? all - pinned : 0));
   }
 
   std::size_t size() const override {
@@ -668,6 +653,7 @@ class ShardedPriorityPool final : public Workpool<T> {
       std::push_heap(s.heap.begin(), s.heap.end(), cmp);
       s.minSeq.store(s.heap.front().seq, std::memory_order_release);
     }
+    if (shard == nShards_) pinned_.fetch_add(1, std::memory_order_release);
     count_.fetch_add(1, std::memory_order_release);
     trace::record(trace::Ev::kShardPush, traceRank_,
                   static_cast<std::uint64_t>(shard), seq);
@@ -690,12 +676,13 @@ class ShardedPriorityPool final : public Workpool<T> {
   // re-verify, retry if it drained between scan and lock. The retry loop
   // terminates: each retry means another consumer took a task, and a pass
   // over all shards finding every published minimum empty means the pool
-  // was observably empty at that instant.
-  std::optional<T> popMin() {
+  // was observably empty at that instant. Steals leave out the pinned shard.
+  std::optional<T> popMin(bool withPinned) {
+    const int scan = withPinned ? nShards_ + 1 : nShards_;
     while (true) {
       int best = -1;
       std::uint64_t bestSeq = kNoSeqWindow;
-      for (int i = 0; i < shardCount(); ++i) {
+      for (int i = 0; i < scan; ++i) {
         const std::uint64_t m =
             shards_[static_cast<std::size_t>(i)]->minSeq.load(
                 std::memory_order_acquire);
@@ -720,15 +707,20 @@ class ShardedPriorityPool final : public Workpool<T> {
     s.heap.pop_back();
     s.minSeq.store(s.heap.empty() ? kNoSeqWindow : s.heap.front().seq,
                    std::memory_order_release);
+    if (&s == shards_.back().get()) {
+      pinned_.fetch_sub(1, std::memory_order_release);
+    }
     count_.fetch_sub(1, std::memory_order_release);
     return t;
   }
 
+  const int nShards_;  // routing shards; shards_[nShards_] is the pinned one
   std::vector<std::unique_ptr<Shard>> shards_;  // set in ctor, then const
   const std::uint64_t window_;
   const int traceRank_;
   std::atomic<std::uint64_t> rr_{0};       // round-robin for worker < 0
   std::atomic<std::size_t> count_{0};      // total tasks across shards
+  std::atomic<std::size_t> pinned_{0};     // tasks in the pinned shard
   mutable std::atomic<std::uint64_t> lowWater_{kNoSeqWindow};
   mutable std::atomic<std::uint64_t> contentions_{0};
   // Shard index of the last popMin take, for trace attribution only (racy

@@ -22,8 +22,8 @@ class Flags {
 
   std::string getString(const std::string& key, const std::string& dflt) const;
   long getInt(const std::string& key, long dflt) const;
-  // Full-range unsigned values (budgets, chunk sizes, node caps) that a
-  // `long` would truncate on 32-bit longs.
+  // Full-range unsigned values (budgets, node caps) that a `long` would
+  // truncate on 32-bit longs.
   std::uint64_t getUint64(const std::string& key, std::uint64_t dflt) const;
   double getDouble(const std::string& key, double dflt) const;
   bool getBool(const std::string& key, bool dflt = false) const;

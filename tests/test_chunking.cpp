@@ -1,7 +1,8 @@
 // Chunked steal replies, end to end: ChunkPolicy parsing and sizing, the
-// multi-split stack splitter, and the engine-level guarantee that every
-// chunking policy reproduces the unchunked search result on enumeration and
-// branch-and-bound workloads (the Section 4.2 ablation's correctness leg).
+// stack splitter, the engine-level guarantee that every chunking policy
+// reproduces the unchunked search result on enumeration and branch-and-bound
+// workloads (the Section 4.2 ablation's correctness leg), and the no
+// ping-pong invariant: a task crosses the network at most once.
 // The CI TSan lane runs this suite alongside test_runtime.
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "apps/maxclique/graph.hpp"
 #include "apps/maxclique/maxclique.hpp"
+#include "apps/uts/uts.hpp"
 #include "common/run_skeleton.hpp"
 #include "common/synth.hpp"
 #include "core/yewpar.hpp"
@@ -20,66 +22,36 @@ using namespace yewpar::testing;
 
 namespace {
 
-const char* kPolicySpecs[] = {"one", "fixed:2", "fixed:4",
-                              "half", "adaptive", "all"};
+const char* kPolicySpecs[] = {"one", "all"};
 
 }  // namespace
 
 TEST(ChunkPolicy, ParsesEverySpec) {
-  EXPECT_EQ(parseChunkPolicy("one").kind, ChunkKind::One);
-  EXPECT_EQ(parseChunkPolicy("half").kind, ChunkKind::Half);
-  EXPECT_EQ(parseChunkPolicy("adaptive").kind, ChunkKind::Adaptive);
-  EXPECT_EQ(parseChunkPolicy("all").kind, ChunkKind::All);
-
-  auto fixedDefault = parseChunkPolicy("fixed");
-  EXPECT_EQ(fixedDefault.kind, ChunkKind::Fixed);
-  EXPECT_EQ(fixedDefault.k, 4u);
-
-  auto fixed8 = parseChunkPolicy("fixed:8");
-  EXPECT_EQ(fixed8.kind, ChunkKind::Fixed);
-  EXPECT_EQ(fixed8.k, 8u);
-
-  // Round-trips through the printable name.
-  for (const char* spec : kPolicySpecs) {
-    EXPECT_EQ(chunkPolicyName(parseChunkPolicy(spec)), spec);
-  }
+  EXPECT_EQ(parseChunkPolicy("one"), ChunkPolicy::One);
+  EXPECT_EQ(parseChunkPolicy("all"), ChunkPolicy::All);
 }
 
 TEST(ChunkPolicy, RejectsBadSpecs) {
   EXPECT_THROW(parseChunkPolicy(""), std::invalid_argument);
   EXPECT_THROW(parseChunkPolicy("chunky"), std::invalid_argument);
-  EXPECT_THROW(parseChunkPolicy("fixed:0"), std::invalid_argument);
-  EXPECT_THROW(parseChunkPolicy("fixed:-3"), std::invalid_argument);
-  EXPECT_THROW(parseChunkPolicy("fixed:"), std::invalid_argument);
-  EXPECT_THROW(parseChunkPolicy("fixed:2x"), std::invalid_argument);
-  // Values that would wrap the uint32 chunk size are rejected, not
-  // truncated to a degenerate chunk of 0/1.
-  EXPECT_THROW(parseChunkPolicy("fixed:4294967296"), std::invalid_argument);
-}
-
-TEST(ChunkPolicy, ChunkForSizesFromAvailableWork) {
-  EXPECT_EQ(parseChunkPolicy("one").chunkFor(100), 1u);
-  EXPECT_EQ(parseChunkPolicy("fixed:8").chunkFor(100), 8u);
-  EXPECT_EQ(parseChunkPolicy("half").chunkFor(10), 5u);
-  EXPECT_EQ(parseChunkPolicy("adaptive").chunkFor(16), 4u);
-  EXPECT_EQ(parseChunkPolicy("adaptive").chunkFor(24), 4u);
-  EXPECT_EQ(parseChunkPolicy("adaptive").chunkFor(25), 5u);
-  EXPECT_EQ(parseChunkPolicy("all").chunkFor(7), 7u);
-  // Never starves: a lone task can always move.
-  for (const char* spec : kPolicySpecs) {
-    EXPECT_GE(parseChunkPolicy(spec).chunkFor(0), 1u) << spec;
-    EXPECT_GE(parseChunkPolicy(spec).chunkFor(1), 1u) << spec;
+  for (const char* gone : {"fixed", "fixed:4", "half", "adaptive"}) {
+    EXPECT_THROW(parseChunkPolicy(gone), std::invalid_argument) << gone;
   }
 }
 
-TEST(Params, LegacyChunkedFlagMapsToAll) {
-  Params p;
-  EXPECT_EQ(p.effectiveChunk().kind, ChunkKind::One);
-  p.chunked = true;
-  EXPECT_EQ(p.effectiveChunk().kind, ChunkKind::All);
-  // An explicit policy wins over the legacy flag.
-  p.chunk = parseChunkPolicy("fixed:2");
-  EXPECT_EQ(p.effectiveChunk().kind, ChunkKind::Fixed);
+TEST(ChunkPolicy, VictimKeepsAtLeastHalf) {
+  EXPECT_EQ(rt::chunkSize(ChunkPolicy::One, 100), 1u);
+  EXPECT_EQ(rt::chunkSize(ChunkPolicy::All, 10), 5u);
+  EXPECT_EQ(rt::chunkSize(ChunkPolicy::All, 7), 3u);
+  for (const char* spec : kPolicySpecs) {
+    const auto policy = parseChunkPolicy(spec);
+    // Nothing to steal, nothing taken; a lone task can still move.
+    EXPECT_EQ(rt::chunkSize(policy, 0), 0u) << spec;
+    EXPECT_EQ(rt::chunkSize(policy, 1), 1u) << spec;
+    for (std::size_t n = 2; n < 64; ++n) {
+      EXPECT_GE(n - rt::chunkSize(policy, n), n / 2) << spec << " n=" << n;
+    }
+  }
 }
 
 namespace {
@@ -124,23 +96,6 @@ TEST(SplitLowest, AllTakesEverySiblingAtTheLowestLevelOnly) {
   for (const auto& t : tasks) EXPECT_EQ(t.depth, 1);
   EXPECT_FALSE(stack[0].hasNext());  // lowest level drained...
   EXPECT_TRUE(stack[1].hasNext());   // ...deeper levels untouched
-}
-
-TEST(SplitLowest, FixedChunkSpillsIntoDeeperLevels) {
-  SynthSpace space{3, 6};
-  auto stack = descend(space, 4);  // 2 unexplored siblings per level
-  FakeCtx ctx;
-  auto tasks = yewpar::detail::splitLowest(ctx, stack, /*rootDepth=*/5,
-                                           parseChunkPolicy("fixed:5"));
-  // 2 from the lowest level, 2 from the next, 1 from the third: a
-  // multi-split reply.
-  ASSERT_EQ(tasks.size(), 5u);
-  EXPECT_EQ(tasks[0].depth, 6);
-  EXPECT_EQ(tasks[1].depth, 6);
-  EXPECT_EQ(tasks[2].depth, 7);
-  EXPECT_EQ(tasks[3].depth, 7);
-  EXPECT_EQ(tasks[4].depth, 8);
-  EXPECT_TRUE(stack[2].hasNext());  // third level kept one sibling
 }
 
 TEST(SplitLowest, EmptyStackSplitsNothing) {
@@ -215,5 +170,38 @@ TEST(ChunkedSteals, OrderedSkeletonSurvivesChunkedHandOut) {
     auto out = runSkeleton<SynthGen, Enumeration<CountAll>>(
         Skel::Ordered, p, space, SynthNode{});
     EXPECT_EQ(out.sum, expect) << spec;
+  }
+}
+
+TEST(ChunkedSteals, NoTaskCrossesTheNetworkTwice) {
+  // No remote-steal ping-pong (a victim handing over its whole pool, then
+  // stealing the same tasks back): with the victim keeping half and
+  // received tasks pinned, each task crosses the network at most once.
+  apps::uts::Params tree;
+  tree.shape = apps::uts::Shape::Geometric;
+  tree.b0 = 6;
+  tree.maxDepth = 11;  // 378,848 nodes: enough for the ping-pong to show
+  tree.seed = 7;
+  const auto expect = apps::uts::countTree(tree);
+  for (const char* spec : kPolicySpecs) {
+    for (Skel skel :
+         {Skel::DepthBounded, Skel::Budget, Skel::StackStealing}) {
+      for (int localities : {2, 4}) {
+        Params p;
+        p.nLocalities = localities;
+        p.workersPerLocality = 1;
+        p.dcutoff = 4;
+        p.backtrackBudget = 200;
+        p.chunk = parseChunkPolicy(spec);
+        auto out = runSkeleton<apps::uts::Gen, Enumeration<CountAll>>(
+            skel, p, tree, apps::uts::rootNode(tree));
+        const auto where = std::string(spec) + " / " + skelName(skel) +
+                           " / " + std::to_string(localities) + " loc";
+        EXPECT_EQ(out.sum, expect) << where;
+        EXPECT_LE(out.metrics.remoteSteals, out.metrics.tasksSpawned)
+            << where;
+        EXPECT_LE(out.metrics.movedPerSpawned(), 1.0) << where;
+      }
+    }
   }
 }

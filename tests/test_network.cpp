@@ -352,7 +352,7 @@ TEST(NetworkEngine, EveryConfigCountsTheFullTreeOnAllSkeletons) {
       p.workersPerLocality = 2;
       p.dcutoff = 3;
       p.backtrackBudget = 64;
-      p.chunk = parseChunkPolicy("half");
+      p.chunk = parseChunkPolicy("all");
       p.net = net;
       auto out = runSkeleton<SynthGen, Enumeration<CountAll>>(
           skel, p, space, SynthNode{});
@@ -376,7 +376,7 @@ TEST(NetworkEngine, EveryConfigFindsTheSameMaxClique) {
       p.nLocalities = 2;
       p.workersPerLocality = 2;
       p.dcutoff = 2;
-      p.chunk = parseChunkPolicy("adaptive");
+      p.chunk = parseChunkPolicy("all");
       p.net = net;
       auto out = runSkeleton<apps::mc::Gen, Optimisation,
                              BoundFunction<&apps::mc::upperBound>,

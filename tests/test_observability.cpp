@@ -332,6 +332,7 @@ std::vector<statusd::RankStatus> fakeRanks() {
     s.metrics.nodesProcessed = 100u + static_cast<std::uint64_t>(r);
     s.metrics.tasksSpawned = 10;
     s.metrics.failedSteals = 2;
+    s.metrics.remoteSteals = 4;
     s.metrics.healthWarnings = static_cast<std::uint64_t>(r);
     s.profile.workers.resize(2);
     s.profile.workers[0]
@@ -359,6 +360,9 @@ TEST(StatusRender, MetricsIsPrometheusTextExposition) {
       std::string::npos);
   EXPECT_NE(text.find("yewpar_health_warnings_total{rank=\"1\"} 1\n"),
             std::string::npos);
+  EXPECT_NE(
+      text.find("yewpar_steal_moved_per_spawned{rank=\"0\"} 0.400000\n"),
+      std::string::npos);
   EXPECT_NE(text.find("yewpar_incumbent_objective{rank=\"0\"} -12\n"),
             std::string::npos);
   EXPECT_EQ(text.find("yewpar_incumbent_objective{rank=\"1\"}"),
@@ -689,9 +693,10 @@ struct SocketPair {
 }  // namespace
 
 TEST(Wire, PreProfileBuildIsRefusedAtHandshake) {
-  // This PR moved the GatherMsg/MetricsSnapshot layouts to revision 3; a
-  // revision-2 binary (same tag table) must be fenced off at connect time.
-  EXPECT_EQ(wire::kPayloadLayoutVersion, 3u);
+  // Revision 3 moved the GatherMsg/MetricsSnapshot layouts (revision 4 the
+  // trace batch's); a revision-2 binary (same tag table) must be fenced off
+  // at connect time.
+  EXPECT_EQ(wire::kPayloadLayoutVersion, 4u);
   ASSERT_NE(versionWithLayout(2), wire::protocolVersion());
 
   SocketPair sp;

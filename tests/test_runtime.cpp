@@ -248,21 +248,56 @@ TEST(DepthPool, StealManyKeepsChunkOrderAndSpillsDeeper) {
   EXPECT_EQ(pool.pop().value(), 20);
 }
 
-TEST(Workpool, StealChunkSizesFromLiveOccupancy) {
-  // Half/Adaptive/All size the chunk and take the tasks under one lock, so
-  // the count always reflects the occupancy they steal from.
+TEST(Workpool, StealChunkLeavesTheVictimAtLeastHalf) {
+  // The chunk is sized and taken under one lock: `all` takes half the
+  // stealable tasks (at least one), so the victim always keeps the rest.
   DepthPool<int> pool;
   for (int i = 0; i < 10; ++i) pool.push(i, 0);
-  EXPECT_EQ(pool.stealChunk(parseChunkPolicy("half")).size(), 5u);
-  EXPECT_EQ(pool.stealChunk(parseChunkPolicy("all")).size(), 5u);
-  EXPECT_EQ(pool.size(), 0u);
-  EXPECT_TRUE(pool.stealChunk(parseChunkPolicy("adaptive")).empty());
+  EXPECT_EQ(pool.stealChunk(ChunkPolicy::All).size(), 5u);
+  EXPECT_EQ(pool.stealChunk(ChunkPolicy::All).size(), 2u);
+  EXPECT_EQ(pool.stealChunk(ChunkPolicy::One).size(), 1u);
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.stealChunk(ChunkPolicy::All).size(), 1u);
+  EXPECT_EQ(pool.stealChunk(ChunkPolicy::All).size(), 1u);  // a lone task
+  EXPECT_TRUE(pool.stealChunk(ChunkPolicy::All).empty());
   DequePool<int> qp(/*lifoLocal=*/true);
   qp.push(1, 0);
   qp.push(2, 0);
   qp.push(3, 0);
-  EXPECT_EQ(qp.stealChunk(parseChunkPolicy("fixed:2")).size(), 2u);
-  EXPECT_EQ(qp.size(), 1u);
+  EXPECT_EQ(qp.stealChunk(ChunkPolicy::All), (std::vector<int>{1}));
+  EXPECT_EQ(qp.size(), 2u);
+}
+
+TEST(Workpool, PinnedTasksArePoppedButNeverStolen) {
+  // A task received in a remote steal reply stays on its locality: steals
+  // skip it (and size their chunk from the stealable tasks only), local
+  // pops still hand it out.
+  DepthPool<int> dp;
+  dp.pushPinned(10, 1);
+  dp.pushPinned(11, 1);
+  dp.push(20, 1);
+  dp.push(30, 2);
+  EXPECT_EQ(dp.size(), 4u);
+  EXPECT_EQ(dp.stealChunk(ChunkPolicy::All), (std::vector<int>{20}));
+  EXPECT_EQ(dp.stealMany(9), (std::vector<int>{30}));
+  EXPECT_TRUE(dp.stealMany(9).empty());
+  EXPECT_EQ(dp.pop().value(), 10);
+  EXPECT_EQ(dp.pop().value(), 11);
+  EXPECT_FALSE(dp.pop().has_value());
+
+  // At equal depth a DepthPool pops pinned tasks first, keeping the
+  // stealable ones available to thieves.
+  dp.push(40, 3);
+  dp.pushPinned(41, 3);
+  EXPECT_EQ(dp.pop().value(), 41);
+  EXPECT_EQ(dp.steal().value(), 40);
+
+  DequePool<int> qp(/*lifoLocal=*/false);
+  qp.pushPinned(1, 0);
+  qp.push(2, 0);
+  EXPECT_EQ(qp.stealMany(9), (std::vector<int>{2}));
+  EXPECT_FALSE(qp.steal().has_value());
+  EXPECT_EQ(qp.pop().value(), 1);
 }
 
 namespace {
@@ -366,16 +401,38 @@ TEST(ShardedPriorityPool, StealManyHandsOutAscendingSeqAcrossShards) {
 }
 
 TEST(ShardedPriorityPool, StealChunkSizesFromTotalOccupancy) {
-  // Half sizes from the pool-wide count, not one shard's: 8 tasks across 2
-  // shards hand out a 4-task ascending chunk.
+  // `all` sizes from the pool-wide stealable count, not one shard's: 8
+  // tasks across 2 shards hand out a 4-task ascending chunk; pinned tasks
+  // neither count nor move.
   ShardedPriorityPool<SeqTask> pool(/*shards=*/2, kNoSeqWindow);
   for (std::uint64_t s = 0; s < 8; ++s) {
     pool.push(SeqTask{s}, 0, static_cast<int>(s % 2));
   }
-  auto chunk = pool.stealChunk(ChunkPolicy{ChunkKind::Half, 0});
+  for (std::uint64_t s = 100; s < 104; ++s) pool.pushPinned(SeqTask{s}, 0);
+  auto chunk = pool.stealChunk(ChunkPolicy::All);
   ASSERT_EQ(chunk.size(), 4u);
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(chunk[i].seq, i);
-  EXPECT_EQ(pool.size(), 4u);
+  EXPECT_EQ(pool.size(), 8u);
+}
+
+TEST(PriorityPools, PinnedTasksPopInSeqOrderButAreNeverStolen) {
+  PriorityPool<SeqTask> global;
+  ShardedPriorityPool<SeqTask> sharded(/*shards=*/2, kNoSeqWindow);
+  for (Workpool<SeqTask>* pool :
+       std::initializer_list<Workpool<SeqTask>*>{&global, &sharded}) {
+    pool->pushPinned(SeqTask{1}, 0);
+    pool->push(SeqTask{2}, 0);
+    pool->pushPinned(SeqTask{3}, 0);
+    auto chunk = pool->stealMany(9);
+    ASSERT_EQ(chunk.size(), 1u);
+    EXPECT_EQ(chunk[0].seq, 2u);
+    EXPECT_TRUE(pool->stealChunk(ChunkPolicy::All).empty());
+    // Pops hand out the pinned tasks, lowest sequence number first.
+    EXPECT_EQ(pool->pop().value().seq, 1u);
+    EXPECT_EQ(pool->pop().value().seq, 3u);
+    EXPECT_FALSE(pool->pop().has_value());
+  }
+  EXPECT_EQ(sharded.lowWaterMark(), kNoSeqWindow);
 }
 
 TEST(Workpool, MakeWorkpoolRejectsPriorityPoliciesWithoutSeq) {

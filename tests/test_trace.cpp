@@ -168,6 +168,30 @@ TEST(TraceJson, SimEngineRunProducesWellFormedChromeTrace) {
   EXPECT_NE(text.find("\"pid\":1"), std::string::npos);
 }
 
+TEST(TraceJson, NamedIdleThreadKeepsItsTrack) {
+  // A worker that never ran a task still gets its thread_name on the rank
+  // it was named for; the per-rank collect only carries that rank's names.
+  TempFile out("test_trace_idle");
+  trace::session().begin(64);
+  std::thread([] { trace::nameThread("L1.w0", 1); }).join();
+  std::thread([] { trace::nameThread("unattributed"); }).join();
+  const auto rank0 = trace::session().collect(0);
+  const auto all = trace::session().collect(-1);
+  trace::session().end();
+  EXPECT_TRUE(rank0.threadNames.empty());
+  // "unattributed" recorded no event that could give it a rank.
+  ASSERT_EQ(all.threadNames.size(), 1u);
+  EXPECT_EQ(all.threadNames[0].rank, 1);
+  trace::writeChromeJson(out.path, {all});
+  const auto text = slurp(out.path);
+  EXPECT_TRUE(validJson(text));
+  EXPECT_NE(text.find("\"thread_name\",\"pid\":1,\"tid\":0,"
+                      "\"args\":{\"name\":\"L1.w0\"}"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"name\":\"rank 1\""), std::string::npos);
+}
+
 TEST(TraceJson, EmptyBatchListStillWritesAValidFile) {
   TempFile out("test_trace_empty");
   trace::writeChromeJson(out.path, {});
@@ -295,7 +319,7 @@ TEST(TraceTcp, MergedTraceOnRankZeroCarriesBothRanks) {
       threads.emplace_back([&, r] {
         Params p;
         p.workersPerLocality = 2;
-        p.chunk = parseChunkPolicy("half");
+        p.chunk = parseChunkPolicy("all");
         p.transport = TransportKind::Tcp;
         p.rank = r;
         p.peers = peers;

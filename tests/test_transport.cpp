@@ -871,7 +871,7 @@ TEST(TcpEngine, UtsCountsIdenticalToSim) {
   Params p;
   p.nLocalities = 2;
   p.workersPerLocality = 2;
-  p.chunk = parseChunkPolicy("half");
+  p.chunk = parseChunkPolicy("all");
 
   const auto sim =
       skeletons::StackStealing<apps::uts::Gen,
@@ -897,7 +897,7 @@ TEST(TcpEngine, CmstOptimumIdenticalToSim) {
   p.nLocalities = 2;
   p.workersPerLocality = 2;
   p.dcutoff = 3;
-  p.chunk = parseChunkPolicy("adaptive");
+  p.chunk = parseChunkPolicy("all");
 
   const auto sim =
       skeletons::DepthBounded<apps::cmst::Gen, Optimisation,

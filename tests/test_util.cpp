@@ -221,16 +221,16 @@ TEST(Archive, TruncatedInputThrows) {
 }
 
 TEST(Flags, ParsesAllForms) {
-  // Note: a bare flag directly followed by a non-flag token ("--chunked
+  // Note: a bare flag directly followed by a non-flag token ("--tiny
   // input.clq") would consume the token as its value, so boolean flags use
   // the --key=value form (or come last) when positionals are present.
   const char* argv[] = {"prog",           "--skeleton", "budget",
                         "--budget=100",   "input.clq",  "-d",
-                        "2",              "--chunked"};
+                        "2",              "--tiny"};
   Flags f(8, argv);
   EXPECT_EQ(f.getString("skeleton", ""), "budget");
   EXPECT_EQ(f.getInt("budget", 0), 100);
-  EXPECT_TRUE(f.getBool("chunked"));
+  EXPECT_TRUE(f.getBool("tiny"));
   EXPECT_EQ(f.getInt("d", 0), 2);
   ASSERT_EQ(f.positional().size(), 1u);
   EXPECT_EQ(f.positional()[0], "input.clq");
@@ -238,19 +238,19 @@ TEST(Flags, ParsesAllForms) {
 }
 
 TEST(Flags, BoolEqualsForm) {
-  const char* argv[] = {"prog", "--chunked=true", "pos"};
+  const char* argv[] = {"prog", "--tiny=true", "pos"};
   Flags f(3, argv);
-  EXPECT_TRUE(f.getBool("chunked"));
+  EXPECT_TRUE(f.getBool("tiny"));
   ASSERT_EQ(f.positional().size(), 1u);
 }
 
 TEST(Flags, Uint64FullRange) {
-  // Budgets / node caps / chunk sizes can exceed what a 32-bit long holds.
+  // Budgets / node caps can exceed what a 32-bit long holds.
   const char* argv[] = {"prog", "--b", "18446744073709551615",
-                        "--chunk-size", "8"};
+                        "--ordered-window", "8"};
   Flags f(5, argv);
   EXPECT_EQ(f.getUint64("b", 0), 18446744073709551615ull);
-  EXPECT_EQ(f.getUint64("chunk-size", 1), 8u);
+  EXPECT_EQ(f.getUint64("ordered-window", 1), 8u);
   EXPECT_EQ(f.getUint64("missing", 42), 42u);
 }
 
