@@ -108,19 +108,32 @@ void BM_BitsetIntersect(benchmark::State& state) {
 BENCHMARK(BM_BitsetIntersect)->Arg(128)->Arg(1024)->Arg(8192);
 
 void BM_WireFrameEncodeDecode(benchmark::State& state) {
-  // Per-message framing cost on the TCP transport: header encode + decode
-  // around an archive payload of the given size (the payload bytes move by
-  // pointer on the real path, so the header is the per-frame CPU tax).
-  std::vector<std::uint8_t> payload(static_cast<std::size_t>(state.range(0)),
-                                    0x5A);
+  // One whole frame of the given payload size through the TCP framing, the
+  // way the transport handles it: the sender writes header + payload to the
+  // byte stream, the receiver decodes the header, checks the length and
+  // copies the payload into a buffer of its own.
+  const std::vector<std::uint8_t> payload(
+      static_cast<std::size_t>(state.range(0)), 0x5A);
+  std::vector<std::uint8_t> stream;
   for (auto _ : state) {
     rt::wire::FrameHeader h;
     h.payloadLen = static_cast<std::uint32_t>(payload.size());
     h.tag = static_cast<std::uint32_t>(rt::tag::kPoolStealReply);
-    auto bytes = h.encode();
-    auto back = rt::wire::FrameHeader::decode(bytes.data());
-    benchmark::DoNotOptimize(back.payloadLen);
+    const auto hb = h.encode();
+    stream.assign(hb.begin(), hb.end());
+    stream.insert(stream.end(), payload.begin(), payload.end());
+    const auto back = rt::wire::FrameHeader::decode(stream.data());
+    if (back.payloadLen > rt::wire::kMaxFramePayload) {
+      state.SkipWithError("oversized frame");
+      break;
+    }
+    const auto* body = stream.data() + rt::wire::FrameHeader::kBytes;
+    std::vector<std::uint8_t> received(body, body + back.payloadLen);
+    benchmark::DoNotOptimize(received.data());
+    benchmark::ClobberMemory();
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
 }
 BENCHMARK(BM_WireFrameEncodeDecode)->Arg(64)->Arg(4096);
 
@@ -149,17 +162,24 @@ void BM_TraceRecordDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceRecordDisabled);
 
+// Events recorded by BM_TraceRecordEnabled: one run of exactly this many
+// iterations fills the ring to capacity, so no timed record hits the drop
+// path (32 MB of 32-byte events).
+constexpr std::size_t kTraceEnabledEvents = std::size_t{1} << 20;
+
 void BM_TraceRecordEnabled(benchmark::State& state) {
   // The armed hot path: timestamp + 32-byte append into the thread-local
-  // ring. Once the ring fills, iterations measure the (cheaper) drop path;
-  // the capacity keeps that from dominating a default run.
-  rt::trace::session().begin(/*capacityPerThread=*/std::size_t{1} << 22);
+  // ring. The session is armed and this thread's ring allocated (by one
+  // untimed record) before the timed loop, so the loop measures appends only.
+  rt::trace::session().begin(kTraceEnabledEvents + 1);
+  rt::trace::record(rt::trace::Ev::kPoolPush, 0, 0, 0);
   for (auto _ : state) {
     rt::trace::record(rt::trace::Ev::kPoolPush, 0, 1, 2);
   }
   rt::trace::session().end();
 }
-BENCHMARK(BM_TraceRecordEnabled);
+BENCHMARK(BM_TraceRecordEnabled)
+    ->Iterations(static_cast<benchmark::IterationCount>(kTraceEnabledEvents));
 
 void BM_PhaseTimerDisabled(benchmark::State& state) {
   // The cost a worker-loop phase boundary pays outside an engine run: the

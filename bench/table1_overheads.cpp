@@ -10,6 +10,15 @@
 // DIMACS; see bench/common.hpp) and as many workers as the host sensibly
 // supports. The
 // hand-written baselines are in src/apps/baselines (no skeleton code).
+//
+// The binary exits non-zero, with a one-line reason, when it was built
+// without OpenMP (the parallel baseline would silently run sequentially),
+// when any solver disagrees on a clique size, or when the Sequential
+// skeleton's non-pruned node count differs from maxCliqueSeq's (both must
+// search the same tree, so the timing compares like with like).
+//
+// Flags: --tiny (CI smoke: the first 3 instances, 1 rep; default all 18,
+// median of 3)
 
 #include <cstdio>
 #include <iostream>
@@ -17,13 +26,21 @@
 
 #include "apps/baselines/clique_seq.hpp"
 #include "common.hpp"
+#include "util/flags.hpp"
 
 using namespace yewpar;
 using namespace yewpar::apps;
 using namespace yewpar::bench;
 
-int main() {
-  const int reps = 3;
+int main(int argc, char** argv) {
+#ifndef _OPENMP
+  std::fprintf(stderr, "table1_overheads: built without OpenMP, so the "
+                       "OpenMP baseline would run sequentially; refusing\n");
+  return 1;
+#endif
+  Flags f(argc, argv);
+  const bool tiny = f.getBool("tiny");
+  const int reps = tiny ? 1 : 3;
   const int workers = std::max(2u, std::thread::hardware_concurrency());
 
   std::printf("== Table 1: YewPar overheads vs hand-written MaxClique ==\n");
@@ -31,17 +48,23 @@ int main() {
               "parallel pair; median of %d runs)\n\n",
               workers, reps);
 
-  TablePrinter table({"Instance", "SeqC++(s)", "SeqYewPar(s)", "Slowdown(%)",
-                      "OpenMP(s)", "DepthBounded(s)", "ParSlowdown(%)"});
+  TablePrinter table({"Instance", "Nodes", "SeqC++(s)", "SeqYewPar(s)",
+                      "Slowdown(%)", "OpenMP(s)", "DepthBounded(s)",
+                      "ParSlowdown(%)"});
 
   std::vector<double> seqSlowdowns, parSlowdowns;
   std::vector<std::pair<std::string, std::int64_t>> sizes;
 
-  for (auto& [name, graph] : table1Instances()) {
+  auto instances = table1Instances();
+  if (tiny) instances.resize(3);
+  for (auto& [name, graph] : instances) {
     std::int64_t seqSize = 0, ypSize = 0, ompSize = 0, dbSize = 0;
+    std::uint64_t handNodes = 0, ypNodes = 0;
 
     const double tSeqHand = timeMedian(reps, [&] {
-      seqSize = baseline::maxCliqueSeq(graph).size;
+      auto res = baseline::maxCliqueSeq(graph);
+      seqSize = res.size;
+      handNodes = res.nodes;
     });
 
     const double tSeqYewpar = timeMedian(reps, [&] {
@@ -50,6 +73,7 @@ int main() {
           BoundFunction<&mc::upperBound>, PruneLevel>::search(Params{}, graph,
                                                   mc::rootNode(graph));
       ypSize = out.objective;
+      ypNodes = out.metrics.nodesProcessed - out.metrics.prunes;
     });
 
     const double tOmp = timeMedian(reps, [&] {
@@ -75,6 +99,13 @@ int main() {
                   static_cast<long long>(dbSize));
       return 1;
     }
+    if (ypNodes != handNodes) {
+      std::printf("!! TREE MISMATCH on %s: Sequential expanded %llu nodes, "
+                  "maxCliqueSeq %llu\n",
+                  name.c_str(), static_cast<unsigned long long>(ypNodes),
+                  static_cast<unsigned long long>(handNodes));
+      return 1;
+    }
 
     const double seqSlow = 100.0 * (tSeqYewpar / tSeqHand - 1.0);
     const double parSlow = 100.0 * (tDb / tOmp - 1.0);
@@ -83,7 +114,8 @@ int main() {
     parSlowdowns.push_back(tDb / tOmp);
     sizes.emplace_back(name, seqSize);
 
-    table.addRow({name, TablePrinter::cell(tSeqHand, 3),
+    table.addRow({name, std::to_string(handNodes),
+                  TablePrinter::cell(tSeqHand, 3),
                   TablePrinter::cell(tSeqYewpar, 3),
                   TablePrinter::cell(seqSlow, 1), TablePrinter::cell(tOmp, 3),
                   TablePrinter::cell(tDb, 3), TablePrinter::cell(parSlow, 1)});
@@ -91,8 +123,8 @@ int main() {
 
   const double seqGeo = 100.0 * (geometricMean(seqSlowdowns) - 1.0);
   const double parGeo = 100.0 * (geometricMean(parSlowdowns) - 1.0);
-  table.addRow({"Geo. Mean", "", "", TablePrinter::cell(seqGeo, 1), "", "",
-                TablePrinter::cell(parGeo, 1)});
+  table.addRow({"Geo. Mean", "", "", "", TablePrinter::cell(seqGeo, 1), "",
+                "", TablePrinter::cell(parGeo, 1)});
   table.print(std::cout);
 
   std::printf("\npaper reference: sequential geo-mean slowdown 8.8%% "

@@ -78,7 +78,12 @@ struct Gen {
     child.size = parentSize + 1;
     child.candidates = remaining;
     child.candidates &= graph->neighbours(v);
-    child.bound = colour[static_cast<std::size_t>(k)];
+    // Every child candidate is a neighbour of v and lies in the prefix
+    // vertex[0..k). Greedy colouring never puts two adjacent vertices in one
+    // class, so none of them shares v's class colour[k]: they all lie in
+    // classes 1..colour[k]-1, and a clique takes at most one vertex per
+    // class. This is the bound maxCliqueSeq prunes with before branching.
+    child.bound = colour[static_cast<std::size_t>(k)] - 1;
     return child;
   }
 };

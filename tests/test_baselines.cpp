@@ -1,12 +1,16 @@
 // Baseline solver tests: the hand-coded sequential and OpenMP MaxClique
 // implementations used in the Table 1 comparison must agree with brute force
-// and with the YewPar skeletons.
+// and with the YewPar skeletons, and the OpenMP one must really fork a team.
 
 #include <gtest/gtest.h>
 
 #include "apps/baselines/clique_seq.hpp"
 #include "apps/maxclique/maxclique.hpp"
 #include "core/yewpar.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 using namespace yewpar;
 using namespace yewpar::apps;
@@ -29,6 +33,24 @@ TEST(BaselineSeq, Fig1) {
   Graph g = fig1Graph();
   auto res = baseline::maxCliqueSeq(g);
   EXPECT_EQ(res.size, 4);
+}
+
+TEST(BaselineOmp, BuiltWithOpenMP) {
+  // Without OpenMP, maxCliqueOmp is the sequential solver and Table 1(b)
+  // compares Depth-Bounded with a sequential run. CMakeLists.txt decides
+  // when OpenMP must be present (configuring a gcc build fails without
+  // it); here we only check that the runtime really forks a team.
+#ifdef _OPENMP
+  int teamSize = 0;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    teamSize = omp_get_num_threads();
+  }
+  EXPECT_EQ(teamSize, 2);
+#else
+  GTEST_SKIP() << "built without OpenMP (clang without libomp, or TSan)";
+#endif
 }
 
 TEST(BaselineOmp, MatchesSequential) {

@@ -1,9 +1,12 @@
 // MaxClique application tests: the paper's Fig. 1 worked example, the greedy
-// colour bound, DIMACS parsing, brute-force cross-checks, and agreement of
-// all 4 coordinations (optimisation) plus k-clique decision searches.
+// colour bound, DIMACS parsing, brute-force cross-checks, node-for-node
+// identity of the Sequential skeleton's tree with the hand-written solver's,
+// and agreement of all 4 coordinations (optimisation) plus k-clique decision
+// searches.
 
 #include <gtest/gtest.h>
 
+#include "apps/baselines/clique_seq.hpp"
 #include "apps/maxclique/graph.hpp"
 #include "apps/maxclique/maxclique.hpp"
 #include "common/run_skeleton.hpp"
@@ -134,6 +137,39 @@ TEST(MaxClique, PruningReducesNodeCount) {
   EXPECT_EQ(pruned.objective, unpruned.objective);
   EXPECT_LT(pruned.metrics.nodesProcessed, unpruned.metrics.nodesProcessed);
   EXPECT_GT(pruned.metrics.prunes, 0u);
+}
+
+TEST(MaxClique, SequentialSearchesTheHandSolversTree) {
+  // The child bound is the one maxCliqueSeq prunes with, so the Sequential
+  // skeleton expands exactly the hand solver's nodes: every node it does
+  // not prune is one the hand solver expands. A looser child bound
+  // (colour[k] instead of colour[k] - 1) expands nodes the hand solver
+  // prunes and breaks the equality.
+  struct Case {
+    const char* name;
+    Graph g;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"fig1", fig1Graph()});
+  cases.push_back({"gnp-60-0.7-1", gnp(60, 0.7, 1)});
+  cases.push_back({"gnp-70-0.8-2", gnp(70, 0.8, 2)});
+  cases.push_back({"twoDensity-80-3", twoDensity(80, 0.4, 0.85, 3)});
+  cases.push_back({"twoDensity-90-4", twoDensity(90, 0.45, 0.8, 4)});
+  cases.push_back({"planted-70-5", plantedClique(70, 0.6, 14, 5)});
+  cases.push_back({"planted-80-6", plantedClique(80, 0.65, 16, 6)});
+  for (auto& c : cases) {
+    c.g.sortByDegreeDesc();
+    auto hand = baseline::maxCliqueSeq(c.g);
+    auto out = skeletons::Sequential<
+        mc::Gen, Optimisation, BoundFunction<&mc::upperBound>,
+        PruneLevel>::search(Params{}, c.g, mc::rootNode(c.g));
+    EXPECT_EQ(out.objective, hand.size) << c.name;
+    EXPECT_EQ(out.metrics.nodesProcessed - out.metrics.prunes, hand.nodes)
+        << c.name;
+    // Each expanded node's generator ends on exactly one pruned child: the
+    // first that fails the bound, or the last (colour 1, bound 0).
+    EXPECT_EQ(out.metrics.prunes, hand.nodes) << c.name;
+  }
 }
 
 class MaxCliqueSkeletons : public ::testing::TestWithParam<Skel> {};
