@@ -73,10 +73,9 @@ int main(int argc, char** argv) try {
   } else {
     std::printf("optimal tree cost: %lld\nedges:",
                 static_cast<long long>(-out.objective));
-    for (auto e : out.incumbent->included) {
-      std::printf(" %d-%d", inst.eu[static_cast<std::size_t>(e)],
-                  inst.ev[static_cast<std::size_t>(e)]);
-    }
+    out.incumbent->included.forEach([&](std::size_t e) {
+      std::printf(" %d-%d", inst.eu[e], inst.ev[e]);
+    });
     std::printf("\n");
   }
   examples::printMetrics(out);

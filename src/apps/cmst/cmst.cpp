@@ -61,85 +61,96 @@ void Instance::load(IArchive& a) {
   buildAdj(*this);  // edges arrive already weight-sorted
 }
 
+namespace {
+
+// The calling thread's scratch forest, reset to `included`'s edges. Valid
+// until this thread's next call; upperBound and Gen::Gen never nest.
+Dsu& includedForest(const Instance& inst, const DynBitset& included) {
+  thread_local Dsu dsu;
+  dsu.reset(static_cast<std::size_t>(inst.n));
+  included.forEach([&](std::size_t e) { dsu.unite(inst.u(e), inst.v(e)); });
+  return dsu;
+}
+
+// Calls f(idx) on each edge idx >= from that `excluded` leaves allowed, in
+// ascending order, one word of ~excluded (masked to the m edges) at a time,
+// until f returns false. f may set bits of `excluded` at or below idx.
+template <typename F>
+void forEachAllowed(const DynBitset& excluded, std::size_t from, F&& f) {
+  using Word = DynBitset::Word;
+  constexpr auto kBits = DynBitset::kWordBits;
+  const std::size_t m = excluded.size();
+  Word mask = ~Word{0} << (from % kBits);  // drops edges below `from`
+  for (std::size_t w = from / kBits; w * kBits < m; ++w, mask = ~Word{0}) {
+    if (m - w * kBits < kBits) mask &= (Word{1} << (m - w * kBits)) - 1;
+    for (Word a = ~excluded.word(w) & mask; a != 0; a &= a - 1) {
+      if (!f(w * kBits + static_cast<std::size_t>(std::countr_zero(a)))) return;
+    }
+  }
+}
+
+}  // namespace
+
 Node rootNode(const Instance& inst) {
   Node root;
-  root.excluded = DynBitset(static_cast<std::size_t>(inst.m()));
+  root.included = root.excluded = DynBitset(static_cast<std::size_t>(inst.m()));
   root.complete = inst.n <= 1;  // the empty tree spans a single vertex
   return root;
 }
 
 std::int64_t upperBound(const Instance& inst, const Node& nd) {
   if (nd.complete) return -nd.cost;
-  const auto m = static_cast<std::size_t>(inst.m());
   const auto need = static_cast<std::size_t>(inst.n - 1);
 
   // Forced-exclusion count check: conflict propagation (plus explicit
   // excludes) may leave fewer usable edges than a spanning tree needs.
-  if (m - nd.excluded.count() < need) return kInfeasible;
-
-  Dsu dsu(static_cast<std::size_t>(inst.n));
-  for (auto e : nd.included) {
-    dsu.unite(static_cast<std::size_t>(inst.eu[static_cast<std::size_t>(e)]),
-              static_cast<std::size_t>(inst.ev[static_cast<std::size_t>(e)]));
-  }
+  if (nd.excluded.size() - nd.excluded.count() < need) return kInfeasible;
 
   // Kruskal completion over the still-allowed edges (weight order = index
   // order). Included edges are already united, so they cannot double-count.
+  Dsu& dsu = includedForest(inst, nd.included);
   std::int64_t total = nd.cost;
-  for (std::size_t idx = 0; idx < m && dsu.componentCount() > 1; ++idx) {
-    if (nd.excluded.test(idx)) continue;
-    if (dsu.unite(static_cast<std::size_t>(inst.eu[idx]),
-                  static_cast<std::size_t>(inst.ev[idx]))) {
-      total += inst.ew[idx];
-    }
-  }
+  forEachAllowed(nd.excluded, 0, [&](std::size_t idx) {
+    if (dsu.unite(inst.u(idx), inst.v(idx))) total += inst.ew[idx];
+    return dsu.componentCount() > 1;
+  });
   if (dsu.componentCount() > 1) return kInfeasible;
   return -total;
 }
 
 Gen::Gen(const Instance& i, const cmst::Node& p) : inst(&i), parent(p) {
   if (parent.complete) return;  // a spanning tree is a leaf
-  Dsu dsu(static_cast<std::size_t>(inst->n));
-  for (auto e : parent.included) {
-    dsu.unite(static_cast<std::size_t>(inst->eu[static_cast<std::size_t>(e)]),
-              static_cast<std::size_t>(inst->ev[static_cast<std::size_t>(e)]));
-  }
-  const auto m = inst->m();
-  for (std::int32_t idx = parent.nextEdge; idx < m; ++idx) {
-    if (parent.excluded.test(static_cast<std::size_t>(idx))) continue;
-    if (dsu.connected(
-            static_cast<std::size_t>(inst->eu[static_cast<std::size_t>(idx)]),
-            static_cast<std::size_t>(
-                inst->ev[static_cast<std::size_t>(idx)]))) {
-      // Closes a cycle with the tree-so-far; since the tree only grows below
-      // this node, the edge can never join and is forced out in both
-      // children (sharpens the children's bound relaxation).
-      cycleSkips.push_back(idx);
-      continue;
-    }
-    candidate = idx;
-    break;
-  }
+  const Dsu& dsu = includedForest(*inst, parent.included);
+  const auto from = static_cast<std::size_t>(parent.nextEdge);
+  forEachAllowed(parent.excluded, from, [&](std::size_t idx) {
+    // An edge closing a cycle with the tree-so-far can never join it (the
+    // tree only grows below this node), so it is forced out in both
+    // children (sharpens the children's bound relaxation).
+    const bool cycle = dsu.connected(inst->u(idx), inst->v(idx));
+    if (cycle) parent.excluded.set(idx);
+    else candidate = static_cast<std::int32_t>(idx);
+    return cycle;
+  });
 }
 
 cmst::Node Gen::next() {
   cmst::Node child = parent;
-  for (auto s : cycleSkips) child.excluded.set(static_cast<std::size_t>(s));
+  const auto c = static_cast<std::size_t>(candidate);
   child.nextEdge = candidate + 1;
   if (emitted == 0) {
     // Include child: commit the edge, force out everything conflicting with
     // it. (A conflicting edge can never already be included: including it
     // would have excluded `candidate` first.)
-    child.included.push_back(candidate);
-    child.cost += inst->ew[static_cast<std::size_t>(candidate)];
+    child.included.set(c);
+    child.cost += inst->ew[c];
     for (auto f : inst->conflicts(candidate)) {
       child.excluded.set(static_cast<std::size_t>(f));
     }
     // n-1 acyclic edges over n vertices: a spanning tree.
-    child.complete = static_cast<std::int32_t>(child.included.size()) ==
+    child.complete = static_cast<std::int32_t>(child.included.count()) ==
                      inst->n - 1;
   } else {
-    child.excluded.set(static_cast<std::size_t>(candidate));
+    child.excluded.set(c);
   }
   ++emitted;
   return child;
@@ -164,12 +175,8 @@ std::optional<std::int64_t> bruteForce(const Instance& inst) {
     std::int64_t cost = 0;
     for (std::int32_t e = 0; e < m && ok; ++e) {
       if (!(mask >> e & 1u)) continue;
-      if (!dsu.unite(
-              static_cast<std::size_t>(inst.eu[static_cast<std::size_t>(e)]),
-              static_cast<std::size_t>(
-                  inst.ev[static_cast<std::size_t>(e)]))) {
-        ok = false;  // cycle
-      }
+      const auto se = static_cast<std::size_t>(e);
+      if (!dsu.unite(inst.u(se), inst.v(se))) ok = false;  // cycle
       cost += inst.ew[static_cast<std::size_t>(e)];
     }
     if (!ok || dsu.componentCount() != 1) continue;

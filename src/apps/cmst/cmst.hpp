@@ -50,6 +50,10 @@ struct Instance {
 
   std::int32_t m() const { return static_cast<std::int32_t>(eu.size()); }
 
+  // Endpoints of edge e, as Dsu elements.
+  std::size_t u(std::size_t e) const { return static_cast<std::size_t>(eu[e]); }
+  std::size_t v(std::size_t e) const { return static_cast<std::size_t>(ev[e]); }
+
   std::int64_t totalWeight() const;
 
   const std::vector<std::int32_t>& conflicts(std::int32_t e) const {
@@ -66,11 +70,11 @@ struct Instance {
 };
 
 struct Node {
-  std::vector<std::int32_t> included;  // edge indices in the tree, ascending
-  DynBitset excluded;                  // edges decided out (m bits)
-  std::int32_t nextEdge = 0;           // first undecided edge index
-  std::int64_t cost = 0;               // sum of included edge weights
-  bool complete = false;               // included forms a spanning tree
+  DynBitset included;         // edges in the tree (m bits, copied w/o heap)
+  DynBitset excluded;         // edges decided out (m bits)
+  std::int32_t nextEdge = 0;  // first undecided edge index
+  std::int64_t cost = 0;      // sum of included edge weights
+  bool complete = false;      // included forms a spanning tree
 
   std::int64_t getObj() const { return complete ? -cost : kPartialObj; }
 
@@ -90,19 +94,24 @@ Node rootNode(const Instance& inst);
 // relaxed). The conflict propagation baked into `excluded` strengthens the
 // relaxation beyond a plain MST, and a forced-exclusion count check (fewer
 // than n-1 usable edges remain) detects infeasibility before the DSU pass.
-// Returns kInfeasible when no spanning completion exists.
+// Returns kInfeasible when no spanning completion exists. The pass reuses a
+// per-thread scratch forest (never held past the call, so parallel workers
+// never share one) and walks ~excluded a 64-bit word at a time, in the same
+// ascending index order as an edge-by-edge scan, so the bound is unchanged.
 std::int64_t upperBound(const Instance& inst, const Node& n);
 
 // Lazy node generator: binary branch (include first, then exclude) on the
 // cheapest undecided edge that is neither excluded nor cycle-closing.
+// The constructor finds that edge the same way upperBound walks, and forces
+// each cycle-closing edge it passes out in its own copy of `parent`, which
+// both children inherit, so no per-node skip list is kept.
 struct Gen {
   using Space = Instance;
   using Node = cmst::Node;
 
   const Instance* inst;
-  cmst::Node parent;
-  std::int32_t candidate = -1;           // branch edge; -1 = leaf
-  std::vector<std::int32_t> cycleSkips;  // edges forced out (cycle w/ tree)
+  cmst::Node parent;  // with the skipped cycle-closing edges excluded
+  std::int32_t candidate = -1;  // branch edge; -1 = leaf
   int emitted = 0;
 
   Gen(const Instance& i, const cmst::Node& p);

@@ -57,8 +57,9 @@ inline constexpr std::uint32_t kMaxFramePayload = 256u * 1024u * 1024u;
 // is what keeps mixed-build meshes refused at handshake time in that case.
 // History: 1 = pre-PR9 layouts; 2 = MetricsSnapshot.poolLockContentions;
 // 3 = GatherMsg.profile (per-worker phase accounting) +
-// MetricsSnapshot.healthWarnings; 4 = trace Batch::ThreadName.rank.
-inline constexpr std::uint32_t kPayloadLayoutVersion = 4;
+// MetricsSnapshot.healthWarnings; 4 = trace Batch::ThreadName.rank;
+// 5 = cmst::Node.included as an m-bit set.
+inline constexpr std::uint32_t kPayloadLayoutVersion = 5;
 
 // Protocol version, derived from the rt::tag table: FNV-1a over every tag
 // value in declaration order, plus kPayloadLayoutVersion. Adding, removing

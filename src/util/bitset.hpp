@@ -16,7 +16,6 @@
 #include <vector>
 #include <bit>
 #include <cassert>
-#include <string>
 
 namespace yewpar {
 
@@ -192,14 +191,6 @@ class DynBitset {
     return *this;
   }
 
-  DynBitset& operator^=(const DynBitset& o) {
-    assert(nbits_ == o.nbits_);
-    Word* a = data();
-    const Word* b = o.data();
-    for (std::size_t i = 0; i < nwords_; ++i) a[i] ^= b[i];
-    return *this;
-  }
-
   // Remove from this set all bits present in o.
   DynBitset& andNot(const DynBitset& o) {
     assert(nbits_ == o.nbits_);
@@ -261,13 +252,6 @@ class DynBitset {
     v.reserve(count());
     forEach([&](std::size_t i) { v.push_back(i); });
     return v;
-  }
-
-  std::string toString() const {
-    std::string s;
-    s.reserve(nbits_);
-    for (std::size_t i = 0; i < nbits_; ++i) s.push_back(test(i) ? '1' : '0');
-    return s;
   }
 
  private:

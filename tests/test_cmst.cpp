@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/cmst/cmst.hpp"
 #include "common/run_skeleton.hpp"
@@ -32,26 +35,122 @@ cmst::Instance testInstance(std::uint64_t seed) {
 // pair fully included, recorded cost equals the edge-weight sum.
 void expectValidTree(const cmst::Instance& inst, const cmst::Node& nd) {
   ASSERT_TRUE(nd.complete);
-  ASSERT_EQ(nd.included.size(), static_cast<std::size_t>(inst.n - 1));
+  ASSERT_EQ(nd.included.count(), static_cast<std::size_t>(inst.n - 1));
   Dsu dsu(static_cast<std::size_t>(inst.n));
   std::int64_t cost = 0;
-  for (auto e : nd.included) {
-    EXPECT_TRUE(dsu.unite(
-        static_cast<std::size_t>(inst.eu[static_cast<std::size_t>(e)]),
-        static_cast<std::size_t>(inst.ev[static_cast<std::size_t>(e)])));
-    cost += inst.ew[static_cast<std::size_t>(e)];
-  }
+  nd.included.forEach([&](std::size_t e) {
+    EXPECT_TRUE(dsu.unite(inst.u(e), inst.v(e)));
+    cost += inst.ew[e];
+  });
   EXPECT_EQ(dsu.componentCount(), 1u);
   EXPECT_EQ(cost, nd.cost);
   for (std::size_t i = 0; i < inst.ca.size(); ++i) {
-    const bool hasA =
-        std::find(nd.included.begin(), nd.included.end(), inst.ca[i]) !=
-        nd.included.end();
-    const bool hasB =
-        std::find(nd.included.begin(), nd.included.end(), inst.cb[i]) !=
-        nd.included.end();
+    const bool hasA = nd.included.test(static_cast<std::size_t>(inst.ca[i]));
+    const bool hasB = nd.included.test(static_cast<std::size_t>(inst.cb[i]));
     EXPECT_FALSE(hasA && hasB) << "conflict pair " << i << " violated";
   }
+}
+
+// A fresh Dsu holding nd's included edges.
+Dsu includedDsu(const cmst::Instance& inst, const cmst::Node& nd) {
+  Dsu dsu(static_cast<std::size_t>(inst.n));
+  for (std::size_t e = 0; e < static_cast<std::size_t>(inst.m()); ++e) {
+    if (nd.included.test(e)) dsu.unite(inst.u(e), inst.v(e));
+  }
+  return dsu;
+}
+
+// Plain reference for upperBound: a fresh Dsu per call, the included edges
+// united first, then a Kruskal scan from edge 0 testing each edge's
+// excluded bit.
+std::int64_t referenceBound(const cmst::Instance& inst, const cmst::Node& nd) {
+  if (nd.complete) return -nd.cost;
+  const auto m = static_cast<std::size_t>(inst.m());
+  Dsu dsu = includedDsu(inst, nd);
+  std::int64_t total = nd.cost;
+  for (std::size_t e = 0; e < m && dsu.componentCount() > 1; ++e) {
+    if (nd.excluded.test(e)) continue;
+    if (dsu.unite(inst.u(e), inst.v(e))) total += inst.ew[e];
+  }
+  return dsu.componentCount() > 1 ? cmst::kInfeasible : -total;
+}
+
+// Plain reference for Gen's branch: the first edge at or after nextEdge
+// that is neither excluded nor closes a cycle with the included edges
+// (-1 if none), and the cycle-closing edges skipped on the way.
+struct RefBranch {
+  std::int32_t candidate = -1;
+  std::vector<std::size_t> skipped;
+};
+
+RefBranch referenceBranch(const cmst::Instance& inst, const cmst::Node& nd) {
+  RefBranch ref;
+  if (nd.complete) return ref;
+  const auto m = static_cast<std::size_t>(inst.m());
+  const Dsu dsu = includedDsu(inst, nd);
+  for (auto e = static_cast<std::size_t>(nd.nextEdge); e < m; ++e) {
+    if (nd.excluded.test(e)) continue;
+    if (dsu.connected(inst.u(e), inst.v(e))) {
+      ref.skipped.push_back(e);
+      continue;
+    }
+    ref.candidate = static_cast<std::int32_t>(e);
+    break;
+  }
+  return ref;
+}
+
+// Walks the include/exclude tree depth first (include child first, no
+// pruning), visiting at most `limit` nodes, and checks upperBound and Gen
+// against the references at every node. Returns the nodes visited.
+std::size_t checkAgainstReference(const cmst::Instance& inst,
+                                  std::size_t limit) {
+  std::vector<cmst::Node> stack{cmst::rootNode(inst)};
+  std::size_t visited = 0;
+  while (!stack.empty() && visited < limit) {
+    const cmst::Node nd = std::move(stack.back());
+    stack.pop_back();
+    ++visited;
+    EXPECT_EQ(cmst::upperBound(inst, nd), referenceBound(inst, nd));
+
+    const RefBranch ref = referenceBranch(inst, nd);
+    cmst::Gen gen(inst, nd);
+    EXPECT_EQ(gen.candidate, ref.candidate);
+    if (::testing::Test::HasFailure()) return visited;
+    if (!gen.hasNext()) continue;
+    const auto c = static_cast<std::size_t>(ref.candidate);
+    cmst::Node include = gen.next();
+    cmst::Node exclude = gen.next();
+    EXPECT_FALSE(gen.hasNext());
+
+    // Expected children: both force out every skipped cycle-closing edge;
+    // the include child takes the edge and forces out its conflicts, the
+    // exclude child forces out the edge.
+    cmst::Node wantIn = nd;
+    for (auto e : ref.skipped) wantIn.excluded.set(e);
+    cmst::Node wantEx = wantIn;
+    wantIn.included.set(c);
+    wantIn.cost += inst.ew[c];
+    for (auto f : inst.conflicts(ref.candidate)) {
+      wantIn.excluded.set(static_cast<std::size_t>(f));
+    }
+    wantEx.excluded.set(c);
+    EXPECT_EQ(include.nextEdge, ref.candidate + 1);
+    EXPECT_EQ(exclude.nextEdge, ref.candidate + 1);
+    EXPECT_EQ(include.included, wantIn.included);
+    EXPECT_EQ(include.excluded, wantIn.excluded);
+    EXPECT_EQ(include.cost, wantIn.cost);
+    EXPECT_EQ(exclude.included, wantEx.included);
+    EXPECT_EQ(exclude.excluded, wantEx.excluded);
+    EXPECT_EQ(exclude.cost, wantEx.cost);
+    EXPECT_FALSE(exclude.complete);
+    EXPECT_EQ(include.complete,
+              include.included.count() == static_cast<std::size_t>(inst.n - 1));
+    if (::testing::Test::HasFailure()) return visited;
+    stack.push_back(std::move(exclude));
+    stack.push_back(std::move(include));
+  }
+  return visited;
 }
 
 // First seed in [1, limit] whose instance admits a conflict-free spanning
@@ -153,8 +252,8 @@ TEST(Cmst, GeneratorPropagatesConflicts) {
   cmst::Gen gen(inst, cmst::rootNode(inst));
   ASSERT_TRUE(gen.hasNext());
   auto include = gen.next();  // includes edge 0 (0-1, weight 1)
-  ASSERT_EQ(include.included.size(), 1u);
-  const auto e = include.included[0];
+  ASSERT_EQ(include.included.count(), 1u);
+  const auto e = static_cast<std::int32_t>(include.included.findFirst());
   // Every edge conflicting with e is forced out, e itself is not.
   EXPECT_FALSE(include.excluded.test(static_cast<std::size_t>(e)));
   for (auto f : inst.conflicts(e)) {
@@ -199,6 +298,43 @@ TEST(Cmst, BoundIsAdmissibleAndDetectsInfeasibility) {
   auto nd = cmst::rootNode(inst);
   nd.excluded.set(0);
   EXPECT_EQ(cmst::upperBound(inst, nd), cmst::kInfeasible);
+}
+
+TEST(Cmst, BoundAndGeneratorMatchReferenceKruskal) {
+  // Every node of the full tree of the small instances.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("testInstance seed " + std::to_string(seed));
+    EXPECT_GT(checkAgainstReference(testInstance(seed), SIZE_MAX), 1u);
+  }
+  // The first 20,000 depth-first nodes of larger instances: m = 63, 64, 65
+  // cover a partial single word, an exactly full one and a one-bit second
+  // word; m = 128 two full words; the last is a benchmark instance.
+  for (const std::int32_t m : {63, 64, 65, 128}) {
+    SCOPED_TRACE("m " + std::to_string(m));
+    const auto inst = cmst::randomInstance(20, m, 3 * m, 7);
+    ASSERT_EQ(inst.m(), m);
+    EXPECT_EQ(checkAgainstReference(inst, 20000), 20000u);
+  }
+  SCOPED_TRACE("randomInstance(24, 90, 450, 101)");
+  EXPECT_EQ(
+      checkAgainstReference(cmst::randomInstance(24, 90, 450, 101), 20000),
+      20000u);
+}
+
+TEST(Cmst, SequentialTreeIsUnchangedAtBenchmarkSize) {
+  // The Sequential skeleton's node counts on two of the benchmark's
+  // instances, as recorded in perfbench/counts.txt (the benchmark renames
+  // vertices, which leaves the tree unchanged).
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {{101, 50947},
+                                                           {111, 23285}};
+  for (const auto& [seed, nodes] : pins) {
+    const auto inst = cmst::randomInstance(24, 90, 450, seed);
+    const auto out = skeletons::Sequential<
+        cmst::Gen, Optimisation,
+        BoundFunction<&cmst::upperBound>>::search(Params{}, inst,
+                                                  cmst::rootNode(inst));
+    EXPECT_EQ(out.metrics.nodesProcessed, nodes) << "seed " << seed;
+  }
 }
 
 class CmstSkeletons : public ::testing::TestWithParam<Skel> {};

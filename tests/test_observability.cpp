@@ -694,9 +694,9 @@ struct SocketPair {
 
 TEST(Wire, PreProfileBuildIsRefusedAtHandshake) {
   // Revision 3 moved the GatherMsg/MetricsSnapshot layouts (revision 4 the
-  // trace batch's); a revision-2 binary (same tag table) must be fenced off
-  // at connect time.
-  EXPECT_EQ(wire::kPayloadLayoutVersion, 4u);
+  // trace batch's, revision 5 cmst::Node's); a revision-2 binary (same tag
+  // table) must be fenced off at connect time.
+  EXPECT_EQ(wire::kPayloadLayoutVersion, 5u);
   ASSERT_NE(versionWithLayout(2), wire::protocolVersion());
 
   SocketPair sp;

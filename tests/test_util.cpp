@@ -10,7 +10,9 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
+#include <numeric>
 #include <sstream>
+#include <vector>
 
 using namespace yewpar;
 
@@ -150,6 +152,58 @@ TEST(Dsu, KruskalStyleCycleDetection) {
   EXPECT_TRUE(d.unite(1, 2));
   EXPECT_FALSE(d.unite(2, 0));
   EXPECT_EQ(d.componentCount(), 1u);
+}
+
+TEST(Dsu, RandomUnitesMatchBfsOracle) {
+  // Seeded random unite sequences (self-unions included); after every step
+  // the answers must match connected components computed by BFS over the
+  // edges united so far.
+  Rng rng(2024);
+  for (std::size_t n = 1; n <= 200; ++n) {
+    Dsu d(n);
+    std::vector<std::vector<std::size_t>> adj(n);
+    std::vector<std::size_t> comp(n), compSize;  // BFS component labels
+    std::iota(comp.begin(), comp.end(), std::size_t{0});
+    for (std::size_t step = 0; step < 2 * n; ++step) {
+      const auto a = static_cast<std::size_t>(rng.below(n));
+      const auto b = static_cast<std::size_t>(rng.below(n));
+      const bool merged = a != b && comp[a] != comp[b];
+      ASSERT_EQ(d.unite(a, b), merged) << "n " << n << " step " << step;
+      adj[a].push_back(b);
+      adj[b].push_back(a);
+
+      // BFS labelling of the united graph.
+      std::vector<std::size_t> first;  // one member per component
+      comp.assign(n, n);
+      compSize.clear();
+      for (std::size_t s = 0; s < n; ++s) {
+        if (comp[s] != n) continue;
+        const std::size_t c = first.size();
+        first.push_back(s);
+        compSize.push_back(0);
+        std::vector<std::size_t> queue{s};
+        comp[s] = c;
+        for (std::size_t q = 0; q < queue.size(); ++q) {
+          ++compSize[c];
+          for (auto y : adj[queue[q]]) {
+            if (comp[y] == n) {
+              comp[y] = c;
+              queue.push_back(y);
+            }
+          }
+        }
+      }
+      ASSERT_EQ(d.componentCount(), first.size())
+          << "n " << n << " step " << step;
+      for (std::size_t x = 0; x < n; ++x) {
+        ASSERT_TRUE(d.connected(x, first[comp[x]]));
+        ASSERT_EQ(d.componentSize(x), compSize[comp[x]]);
+        const auto y = static_cast<std::size_t>(rng.below(n));
+        ASSERT_EQ(d.connected(x, y), comp[x] == comp[y])
+            << "n " << n << " step " << step << " x " << x << " y " << y;
+      }
+    }
+  }
 }
 
 TEST(Rng, DeterministicAndSplittable) {
