@@ -1,6 +1,7 @@
 // Component micro-benchmarks (google-benchmark): the low-level costs that
 // Section 5.3 attributes the skeleton overheads to - node copies in the
-// Lazy Node Generator, the greedy colour bound, workpool and channel
+// Lazy Node Generator, per-node UTS enumeration (skeleton vs hand-written
+// recursion), the greedy colour bound, workpool and channel
 // operations, and task serialization - plus the trace-record hot path and
 // its overhead gate: main() exits non-zero if the DISABLED per-event cost
 // regresses above a few ns, enforcing the contract in
@@ -13,6 +14,8 @@
 
 #include "apps/maxclique/graph.hpp"
 #include "apps/maxclique/maxclique.hpp"
+#include "apps/uts/uts.hpp"
+#include "core/yewpar.hpp"
 #include "runtime/channel.hpp"
 #include "runtime/profile.hpp"
 #include "runtime/trace.hpp"
@@ -60,6 +63,52 @@ void BM_NodeGeneratorExpand(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NodeGeneratorExpand);
+
+// Per-node cost of cheap-node enumeration on uts-dist's tree shape at
+// depth 12 (1,112,395 nodes): the hand-written recursion vs the Sequential
+// skeleton over the same generator.
+uts::Params utsBenchTree() {
+  uts::Params p;
+  p.shape = uts::Shape::Geometric;
+  p.b0 = 6;
+  p.maxDepth = 12;
+  p.seed = 19;
+  return p;
+}
+
+// Runs `count` (returning the nodes it visited) once per iteration and
+// reports the wall time per node, so the two rows compare directly.
+template <typename F>
+void runPerNode(benchmark::State& state, F count) {
+  std::uint64_t nodes = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    nodes = count();
+    benchmark::DoNotOptimize(nodes);
+  }
+  const std::chrono::duration<double, std::nano> dt =
+      std::chrono::steady_clock::now() - t0;
+  state.counters["ns_per_node"] =
+      dt.count() / (static_cast<double>(state.iterations()) *
+                    static_cast<double>(nodes));
+}
+
+void BM_UtsCountTree(benchmark::State& state) {
+  const auto p = utsBenchTree();
+  runPerNode(state, [&] { return uts::countTree(p); });
+}
+BENCHMARK(BM_UtsCountTree)->Unit(benchmark::kMillisecond);
+
+void BM_UtsSequential(benchmark::State& state) {
+  const auto p = utsBenchTree();
+  const auto root = uts::rootNode(p);
+  runPerNode(state, [&] {
+    return skeletons::Sequential<uts::Gen, Enumeration<CountAll>>::search(
+               Params{}, p, root)
+        .sum;
+  });
+}
+BENCHMARK(BM_UtsSequential)->Unit(benchmark::kMillisecond);
 
 void BM_NodeSerializeRoundTrip(benchmark::State& state) {
   const auto& g = benchGraph();

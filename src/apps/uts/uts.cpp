@@ -1,7 +1,5 @@
 #include "apps/uts/uts.hpp"
 
-#include <cmath>
-
 namespace yewpar::apps::uts {
 
 Node rootNode(const Params& p) {
@@ -10,28 +8,6 @@ Node rootNode(const Params& p) {
   std::uint64_t s = p.seed;
   root.state = splitmix64(s);
   return root;
-}
-
-std::int32_t childCount(const Params& p, const Node& n) {
-  // Uniform double in [0,1) derived from the node state alone.
-  const double u =
-      static_cast<double>(mix64(n.state, 0x5EEDull) >> 11) * 0x1.0p-53;
-  switch (p.shape) {
-    case Shape::Geometric: {
-      if (n.d >= p.maxDepth) return 0;
-      // Expected branching decays linearly from b0 at the root to 0 at
-      // maxDepth, keeping the tree finite but highly irregular.
-      const double mean = static_cast<double>(p.b0) *
-                          (1.0 - static_cast<double>(n.d) /
-                                     static_cast<double>(p.maxDepth));
-      return static_cast<std::int32_t>(std::floor(2.0 * mean * u + 0.5));
-    }
-    case Shape::Binomial: {
-      if (n.d == 0) return p.b0;
-      return u < p.q ? p.m : 0;
-    }
-  }
-  return 0;
 }
 
 namespace {

@@ -8,6 +8,7 @@
 // reproducibility property (tree shape independent of traversal order and
 // worker count) without pulling in a crypto dependency.
 
+#include <cmath>
 #include <cstdint>
 
 #include "util/archive.hpp"
@@ -51,8 +52,30 @@ struct Node {
 
 Node rootNode(const Params& p);
 
-// Number of children of a node: pure function of (params, node).
-std::int32_t childCount(const Params& p, const Node& n);
+// Number of children of a node: pure function of (params, node). Inline
+// because it runs once per node and the skeletons instantiate Gen in
+// headers: an out-of-line definition costs them a call countTree never paid.
+inline std::int32_t childCount(const Params& p, const Node& n) {
+  // Uniform double in [0,1) derived from the node state alone.
+  const double u =
+      static_cast<double>(mix64(n.state, 0x5EEDull) >> 11) * 0x1.0p-53;
+  switch (p.shape) {
+    case Shape::Geometric: {
+      if (n.d >= p.maxDepth) return 0;
+      // Expected branching decays linearly from b0 at the root to 0 at
+      // maxDepth, keeping the tree finite but highly irregular.
+      const double mean = static_cast<double>(p.b0) *
+                          (1.0 - static_cast<double>(n.d) /
+                                     static_cast<double>(p.maxDepth));
+      return static_cast<std::int32_t>(std::floor(2.0 * mean * u + 0.5));
+    }
+    case Shape::Binomial: {
+      if (n.d == 0) return p.b0;
+      return u < p.q ? p.m : 0;
+    }
+  }
+  return 0;
+}
 
 struct Gen {
   using Space = Params;

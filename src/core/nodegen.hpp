@@ -16,6 +16,8 @@
 //     Node next();         // next child, in traversal order
 //   };
 //
+// Keep per-node generator work inline in the header: it runs at every node.
+//
 // Node requirements:
 //   * copyable and default-constructible;
 //   * `void save(OArchive&) const` / `void load(IArchive&)` so tasks can

@@ -3,8 +3,9 @@
 // The depth-first subtree search loop shared by the parallel coordinations.
 // It is the Sequential loop (Listing 2) extended with the two dynamic work
 // generation hooks of Listings 3 and 4:
-//   * PollSteals (Stack-Stealing): on every expansion, answer pending steal
-//     requests by splitting off unexplored lowest-depth subtrees;
+//   * PollSteals (Stack-Stealing): on every expansion, check inline for a
+//     pending steal request; only then answer it, out of line, by splitting
+//     off unexplored lowest-depth subtrees;
 //   * budget (Budget): after `budget` backtracks, offload all unexplored
 //     lowest-depth subtrees into the workpool and reset the counter.
 
@@ -38,10 +39,11 @@ std::vector<typename Ctx::Task> splitLowest(Ctx&, std::vector<Gen>& genStack,
 }
 
 // Answer one pending local steal request and one pending remote steal
-// request, if any (Listing 3 lines 6-13).
+// request, if any (Listing 3 lines 6-13). Cold: the search loop calls it
+// only once a request is pending.
 template <typename Ctx, typename WS, typename Gen>
-void pollStealRequests(Ctx& ctx, WS& ws, std::vector<Gen>& genStack,
-                       int rootDepth) {
+[[gnu::noinline, gnu::cold]] void pollStealRequests(
+    Ctx& ctx, WS& ws, std::vector<Gen>& genStack, int rootDepth) {
   auto& metrics = ctx.reg().metrics;
 
   const ChunkPolicy chunk = ctx.params().chunk;
@@ -100,7 +102,10 @@ void subtreeSearch(Ctx& ctx, WS& ws, const typename Ctx::Node& root,
     if (ctx.stopped()) return;
 
     if constexpr (PollSteals) {
-      pollStealRequests(ctx, ws, genStack, rootDepth);
+      if (ws.stealChan.hasRequest() || ctx.hasPendingRemoteSteal())
+          [[unlikely]] {
+        pollStealRequests(ctx, ws, genStack, rootDepth);
+      }
     }
 
     // (spawn-budget): offload all unexplored lowest-depth subtrees.

@@ -30,7 +30,9 @@ Locality::Handler Locality::findHandler(int tagId) {
 
 void Locality::managerLoop() {
   using namespace std::chrono_literals;
-  trace::nameThread("L" + std::to_string(id_) + ".mgr", id_);
+  std::string name = "L";
+  name.append(std::to_string(id_)).append(".mgr");
+  trace::nameThread(name, id_);
   while (true) {
     std::optional<Message> msg;
     try {

@@ -41,6 +41,21 @@ uts::Params binTree(std::uint64_t seed) {
   return p;
 }
 
+// The benchmark's UTS tree (geometric b0 6, seed 19) at its depth 15 and at
+// depth 12. Pinning its counts makes any change to the tree shape
+// (childCount, the hash chain) fail here, not only in the benchmark's count
+// check.
+uts::Params benchTree(std::int32_t depth) {
+  uts::Params p;
+  p.shape = uts::Shape::Geometric;
+  p.b0 = 6;
+  p.maxDepth = depth;
+  p.seed = 19;
+  return p;
+}
+
+constexpr std::uint64_t kDepth12Nodes = 1112395;
+
 }  // namespace
 
 TEST(Uts, ChildCountIsPureFunction) {
@@ -90,6 +105,45 @@ TEST(Uts, TreesAreIrregular) {
   ASSERT_GE(sizes.size(), 2u);
   EXPECT_NE(*std::min_element(sizes.begin(), sizes.end()),
             *std::max_element(sizes.begin(), sizes.end()));
+}
+
+TEST(Uts, BenchmarkTreeIsUnchanged) {
+  const auto p = benchTree(15);
+  EXPECT_EQ(uts::countTree(p), 19795844u);
+  const std::vector<std::uint64_t> byDepth = {
+      1,       9,       40,      217,     1043,    4518,
+      17863,   64399,   205916,  574158,  1377146, 2754291,
+      4389943, 5123010, 3842431, 1440859};
+  auto hist = skeletons::Sequential<uts::Gen, Enumeration<CountByDepth>>::
+      search(Params{}, p, uts::rootNode(p));
+  EXPECT_EQ(hist.sum, byDepth);
+
+  const auto small = benchTree(12);
+  EXPECT_EQ(uts::countTree(small), kDepth12Nodes);
+  for (Skel s : kAllSkels) {
+    auto out = runSkeleton<uts::Gen, Enum>(s, parParams(2), small,
+                                           uts::rootNode(small));
+    EXPECT_EQ(out.sum, kDepth12Nodes) << skelName(s);
+  }
+}
+
+// A victim must actually answer: a poll gated on the wrong flag would
+// still count the tree, just serially.
+TEST(Uts, StackStealingAnswersLocalAndRemoteSteals) {
+  const auto p = benchTree(12);
+  Params local;
+  local.workersPerLocality = 2;
+  auto out = skeletons::StackStealing<uts::Gen, Enum>::search(
+      local, p, uts::rootNode(p));
+  EXPECT_EQ(out.sum, kDepth12Nodes);
+  EXPECT_GT(out.metrics.localSteals, 0u);
+
+  Params remote;
+  remote.nLocalities = 2;
+  auto dist = skeletons::StackStealing<uts::Gen, Enum>::search(
+      remote, p, uts::rootNode(p));
+  EXPECT_EQ(dist.sum, kDepth12Nodes);
+  EXPECT_GT(dist.metrics.remoteSteals, 0u);
 }
 
 class UtsSkeletons : public ::testing::TestWithParam<Skel> {};
