@@ -76,37 +76,34 @@ uts::Params utsBenchTree() {
   return p;
 }
 
-// Runs `count` (returning the nodes it visited) once per iteration and
-// reports the wall time per node, so the two rows compare directly.
-template <typename F>
-void runPerNode(benchmark::State& state, F count) {
-  std::uint64_t nodes = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    nodes = count();
-    benchmark::DoNotOptimize(nodes);
-  }
-  const std::chrono::duration<double, std::nano> dt =
-      std::chrono::steady_clock::now() - t0;
-  state.counters["ns_per_node"] =
-      dt.count() / (static_cast<double>(state.iterations()) *
-                    static_cast<double>(nodes));
-}
-
+// Both rows report time per node (the `per_node` counter), so they compare
+// directly.
 void BM_UtsCountTree(benchmark::State& state) {
   const auto p = utsBenchTree();
-  runPerNode(state, [&] { return uts::countTree(p); });
+  std::uint64_t nodes = 0;
+  for (auto _ : state) {
+    nodes = uts::countTree(p);
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.counters["per_node"] = benchmark::Counter(
+      static_cast<double>(nodes), benchmark::Counter::kIsIterationInvariantRate |
+                                      benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_UtsCountTree)->Unit(benchmark::kMillisecond);
 
 void BM_UtsSequential(benchmark::State& state) {
   const auto p = utsBenchTree();
   const auto root = uts::rootNode(p);
-  runPerNode(state, [&] {
-    return skeletons::Sequential<uts::Gen, Enumeration<CountAll>>::search(
-               Params{}, p, root)
-        .sum;
-  });
+  std::uint64_t nodes = 0;
+  for (auto _ : state) {
+    nodes = skeletons::Sequential<uts::Gen, Enumeration<CountAll>>::search(
+                Params{}, p, root)
+                .sum;
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.counters["per_node"] = benchmark::Counter(
+      static_cast<double>(nodes), benchmark::Counter::kIsIterationInvariantRate |
+                                      benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_UtsSequential)->Unit(benchmark::kMillisecond);
 

@@ -117,14 +117,6 @@ TEST(Uts, BenchmarkTreeIsUnchanged) {
   auto hist = skeletons::Sequential<uts::Gen, Enumeration<CountByDepth>>::
       search(Params{}, p, uts::rootNode(p));
   EXPECT_EQ(hist.sum, byDepth);
-
-  const auto small = benchTree(12);
-  EXPECT_EQ(uts::countTree(small), kDepth12Nodes);
-  for (Skel s : kAllSkels) {
-    auto out = runSkeleton<uts::Gen, Enum>(s, parParams(2), small,
-                                           uts::rootNode(small));
-    EXPECT_EQ(out.sum, kDepth12Nodes) << skelName(s);
-  }
 }
 
 // A victim must actually answer: a poll gated on the wrong flag would
@@ -156,6 +148,12 @@ TEST_P(UtsSkeletons, GeometricCountMatchesOracle) {
                                            uts::rootNode(p));
     EXPECT_EQ(out.sum, expect) << "seed " << seed;
   }
+  // The benchmark tree at depth 12, pinned on every skeleton.
+  const auto bench = benchTree(12);
+  auto out = runSkeleton<uts::Gen, Enum>(GetParam(), parParams(2), bench,
+                                         uts::rootNode(bench));
+  EXPECT_EQ(uts::countTree(bench), kDepth12Nodes);
+  EXPECT_EQ(out.sum, kDepth12Nodes);
 }
 
 TEST_P(UtsSkeletons, BinomialCountMatchesOracle) {
