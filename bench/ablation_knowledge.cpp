@@ -31,7 +31,9 @@ int main() {
     p.nLocalities = 2;
     p.workersPerLocality = 2;
     p.dcutoff = 2;
-    p.networkDelayMicros = delay;
+    if (delay > 0) {
+      p.net.delay = DelayModel{DelayModel::Kind::Fixed, delay, 0.0};
+    }
     std::int64_t size = 0;
     rt::MetricsSnapshot m;
     const double t = timeMedian(3, [&] {

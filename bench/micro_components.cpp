@@ -66,7 +66,7 @@ BENCHMARK(BM_NodeGeneratorExpand);
 
 // Per-node cost of cheap-node enumeration on uts-dist's tree shape at
 // depth 12 (1,112,395 nodes): the hand-written recursion vs the Sequential
-// skeleton over the same generator.
+// and Depth-Bounded skeletons over the same generator.
 uts::Params utsBenchTree() {
   uts::Params p;
   p.shape = uts::Shape::Geometric;
@@ -76,8 +76,8 @@ uts::Params utsBenchTree() {
   return p;
 }
 
-// Both rows report time per node (the `per_node` counter), so they compare
-// directly.
+// All three rows report time per node (the `per_node` counter), so they
+// compare directly.
 void BM_UtsCountTree(benchmark::State& state) {
   const auto p = utsBenchTree();
   std::uint64_t nodes = 0;
@@ -106,6 +106,26 @@ void BM_UtsSequential(benchmark::State& state) {
                                       benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_UtsSequential)->Unit(benchmark::kMillisecond);
+
+// The parallel loop uts-dist runs, at one worker on one locality: the
+// Depth-Bounded spawn above the cutoff, then subtreeSearch below it.
+void BM_UtsDepthBounded(benchmark::State& state) {
+  const auto p = utsBenchTree();
+  const auto root = uts::rootNode(p);
+  Params params;
+  params.dcutoff = 6;
+  std::uint64_t nodes = 0;
+  for (auto _ : state) {
+    nodes = skeletons::DepthBounded<uts::Gen, Enumeration<CountAll>>::search(
+                params, p, root)
+                .sum;
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.counters["per_node"] = benchmark::Counter(
+      static_cast<double>(nodes), benchmark::Counter::kIsIterationInvariantRate |
+                                      benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_UtsDepthBounded)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_NodeSerializeRoundTrip(benchmark::State& state) {
   const auto& g = benchGraph();

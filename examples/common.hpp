@@ -76,9 +76,7 @@ inline Params paramsFromFlags(const Flags& f) {
   // wait, --net-queue-cap bounds the in-flight queue per link (0 =
   // unbounded; overflow sheds to a spill list, adding latency), --net-delay
   // picks the per-link delay model (simulated fabric only - real sockets
-  // bring their own latency), --net-seed its RNG seed. The legacy
-  // --netdelay us stays as shorthand for --net-delay fixed:us and loses to
-  // an explicit --net-delay.
+  // bring their own latency), --net-seed its RNG seed.
   {
     const auto batch = f.getUint64("net-batch", 1);
     if (batch < 1) {
@@ -89,14 +87,12 @@ inline Params paramsFromFlags(const Flags& f) {
         static_cast<std::int64_t>(f.getUint64("net-flush-us", 100)));
     p.net.queueCap =
         static_cast<std::size_t>(f.getUint64("net-queue-cap", 0));
-    if (auto spec = f.raw("net-delay")) {
-      p.net.delay = rt::DelayModel::parse(*spec);
-    } else {
-      // Only fold the legacy flag in when no model was given explicitly:
-      // effectiveNet() cannot tell an explicit `--net-delay none` from the
-      // default, so `--netdelay 500 --net-delay none` must stay delay-free.
-      p.networkDelayMicros = f.getDouble("netdelay", 0.0);
+    if (f.has("netdelay")) {
+      // Unknown flags are otherwise ignored; this one used to mean a delay.
+      throw std::invalid_argument(
+          "--netdelay was removed; use --net-delay fixed:us");
     }
+    p.net.delay = rt::DelayModel::parse(f.getString("net-delay", "none"));
     p.net.seed = f.getUint64("net-seed", p.net.seed);
   }
   // Multi-process transport (docs/FLAGS.md): `--transport tcp` makes this

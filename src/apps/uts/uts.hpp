@@ -52,9 +52,13 @@ struct Node {
 
 Node rootNode(const Params& p);
 
-// Number of children of a node: pure function of (params, node). Inline
-// because it runs once per node and the skeletons instantiate Gen in
-// headers: an out-of-line definition costs them a call countTree never paid.
+// Number of children of a node: pure function of (params, node). In the
+// header so the skeleton loops can inline it: gcc 12 -O3 inlines it into
+// countTree and into the depth-first loop's per-node push
+// (core/skeletons/subtree_search.hpp), and calls one out-of-line clone for
+// each task's root generator and in the Depth-Bounded and Ordered spawn
+// loops. Forcing it inline everywhere ([[gnu::always_inline]]) measured
+// slower.
 inline std::int32_t childCount(const Params& p, const Node& n) {
   // Uniform double in [0,1) derived from the node state alone.
   const double u =

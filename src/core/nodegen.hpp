@@ -16,7 +16,9 @@
 //     Node next();         // next child, in traversal order
 //   };
 //
-// Keep per-node generator work inline in the header: it runs at every node.
+// Define per-node generator work in the header, where the skeleton loops can
+// see it, and let the compiler choose what to inline: forcing a call inline
+// can make the loop slower (see uts::childCount).
 //
 // Node requirements:
 //   * copyable and default-constructible;

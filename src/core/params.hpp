@@ -83,21 +83,6 @@ struct Params {
   // --net-seed). See rt::NetConfig.
   NetConfig net;
 
-  // Legacy flag (--netdelay): fixed one-way latency between localities in
-  // microseconds. Folded into net.delay by effectiveNet() when no delay
-  // model was configured explicitly.
-  double networkDelayMicros = 0.0;
-
-  // The transport configuration actually in force once the legacy fixed
-  // delay is folded in.
-  NetConfig effectiveNet() const {
-    NetConfig c = net;
-    if (c.delay.kind == DelayModel::Kind::None && networkDelayMicros > 0) {
-      c.delay = DelayModel{DelayModel::Kind::Fixed, networkDelayMicros, 0.0};
-    }
-    return c;
-  }
-
   // Transport backend selection. Under Tcp, `rank` is this process's
   // locality id and `peers` lists one host:port per rank (identical on all
   // processes); nLocalities must equal peers.size(). The engine runs only

@@ -53,32 +53,45 @@ struct SearchOps {
     }
   };
 
-  // Visit one node: count it, apply the search type's processing rule, then
-  // the pruning rule. Every node is visited exactly once.
+  static constexpr bool kEnumeration = SearchType::isEnumeration;
+  static constexpr bool kDecision = SearchType::isDecision;
+
+  // Optional node cap (tests / parameter sweeps; a repo extension, not
+  // paper) needs a global count: count the node there, and report (and mark
+  // the search truncated) once the cap is reached - the caller stops.
+  static bool capReached(Reg& reg) {
+    const auto visited =
+        reg.metrics.nodesProcessed.fetch_add(1, std::memory_order_relaxed);
+    if (visited < reg.maxNodes) return false;
+    reg.truncated.store(true, std::memory_order_relaxed);
+    return true;
+  }
+
+  // Visit one node: count it, then process it. Every node is visited
+  // exactly once. (The depth-first loop in skeletons/subtree_search.hpp
+  // counts in locals and calls process() itself.)
   static VisitResult visit(Reg& reg, WorkerAcc& acc, const Space& space,
                            const Node& node) {
-    VisitResult res;
     if (reg.maxNodes == 0) {
       ++acc.nodes;
-    } else {
-      // Optional node cap (tests / parameter sweeps) needs a global count:
-      // raise stop and let the engine drain. A repo extension, not paper.
-      auto visited =
-          reg.metrics.nodesProcessed.fetch_add(1, std::memory_order_relaxed);
-      if (visited >= reg.maxNodes) {
-        reg.truncated.store(true, std::memory_order_relaxed);
-        res.action = Action::Stop;
-        return res;
-      }
+    } else if (capReached(reg)) {
+      return {Action::Stop, {}};
     }
+    return process(reg, acc.value, space, node);
+  }
 
+  // Apply the search type's processing rule, then the pruning rule, to one
+  // node; `value` is the worker's enumeration fold.
+  static VisitResult process(Reg& reg, EnumValue& value, const Space& space,
+                             const Node& node) {
+    VisitResult res;
     if constexpr (SearchType::isEnumeration) {
       // Rule (accumulate): fold the objective value into the monoid.
       using M = typename SearchType::M;
-      acc.value = M::plus(std::move(acc.value),
-                          SearchType::Obj::eval(space, node));
+      value = M::plus(std::move(value), SearchType::Obj::eval(space, node));
       return res;
     } else {
+      (void)value;
       const std::int64_t obj = node.getObj();
 
       // Rules (strengthen)/(skip): keep the node iff it beats the best

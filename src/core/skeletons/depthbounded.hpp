@@ -17,11 +17,7 @@ template <typename Gen>
 struct Coord {
   template <typename Ctx, typename WS>
   static void executeTask(Ctx& ctx, WS& ws, typename Ctx::Task task) {
-    using Ops = typename Ctx::Ops;
-    auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), task.node);
-    ctx.applyVisit(res);
-    if (res.action == detail::Action::Prune) ++ws.acc.prunes;
-    if (res.action != detail::Action::Continue) return;
+    if (!detail::visitNode(ctx, ws, task.node)) return;
 
     if (task.depth < ctx.params().dcutoff) {
       // (spawn-depth): all children become tasks, queued in traversal order
@@ -32,8 +28,8 @@ struct Coord {
         ctx.spawn(typename Ctx::Task{gen.next(), task.depth + 1});
       }
     } else {
-      detail::subtreeSearch<false, Gen>(ctx, ws, task.node, task.depth,
-                                        /*budget=*/0);
+      detail::subtreeSearch<detail::Hook::None, Gen>(ctx, ws, task.node,
+                                                     task.depth);
     }
   }
 

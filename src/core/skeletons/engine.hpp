@@ -89,7 +89,6 @@ class EngineCtx {
                            params.orderedWindow, id})),
         profile_(params.workersPerLocality),
         space_(fromBytes<Space>(spaceBytes)) {
-    reg_.loc = &locality_;
     reg_.decisionTarget = params.decisionTarget;
     reg_.maxNodes = params.maxNodes;
     locality_.setManagerProfile(&profile_.manager());
@@ -448,7 +447,7 @@ struct Engine {
     // fast path (Sequential skeleton, benches) skips the clock reads.
     rt::prof::ArmScope profScope;
 
-    rt::InProcTransport net(params.nLocalities, params.effectiveNet());
+    rt::InProcTransport net(params.nLocalities, params.net);
     std::vector<std::unique_ptr<Ctx>> locs;
     locs.reserve(static_cast<std::size_t>(params.nLocalities));
     for (int i = 0; i < params.nLocalities; ++i) {
@@ -574,7 +573,7 @@ struct Engine {
     // batching, back-pressure and per-link accounting as the simulated
     // fabric (docs/ARCHITECTURE.md "Network model").
     rt::TcpTransport tcpNet(tc);
-    rt::ShapedTransport net(tcpNet, p.effectiveNet());
+    rt::ShapedTransport net(tcpNet, p.net);
 
     auto spaceBytes = toBytes(space);
     Ctx ctx(net, p.rank, p, spaceBytes);

@@ -31,16 +31,11 @@ template <typename Gen>
 struct Coord {
   template <typename Ctx, typename WS>
   static void executeTask(Ctx& ctx, WS& ws, typename Ctx::Task task) {
-    using Ops = typename Ctx::Ops;
-
     if (task.depth == 0) {
       // Root task: visit the root, then expand the top of the tree to the
       // cutoff depth-first in traversal order, spawning each frontier node
       // with an ascending sequence number.
-      auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), task.node);
-      ctx.applyVisit(res);
-      if (res.action == detail::Action::Prune) ++ws.acc.prunes;
-      if (res.action != detail::Action::Continue) return;
+      if (!detail::visitNode(ctx, ws, task.node)) return;
       std::uint64_t seq = 0;
       expandPrefix(ctx, ws, task.node, /*depth=*/0, seq);
       return;
@@ -48,8 +43,8 @@ struct Coord {
 
     // Frontier task: the node was already visited during prefix expansion;
     // search its subtree sequentially.
-    detail::subtreeSearch<false, Gen>(ctx, ws, task.node, task.depth,
-                                      /*budget=*/0);
+    detail::subtreeSearch<detail::Hook::None, Gen>(ctx, ws, task.node,
+                                                   task.depth);
   }
 
   template <typename Ctx, typename WS>
@@ -64,17 +59,13 @@ struct Coord {
   static void expandPrefix(Ctx& ctx, WS& ws,
                            const typename Ctx::Node& node, int depth,
                            std::uint64_t& seq) {
-    using Ops = typename Ctx::Ops;
     if (ctx.stopped()) return;
     Gen gen(ctx.space(), node);
     while (gen.hasNext()) {
       if (ctx.stopped()) return;
       typename Ctx::Node child = gen.next();
-      auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), child);
-      ctx.applyVisit(res);
-      if (res.action == detail::Action::Stop) return;
-      if (res.action == detail::Action::Prune) {
-        ++ws.acc.prunes;
+      // A Stop has raised the stop flag, checked above.
+      if (!detail::visitNode(ctx, ws, child)) {
         if constexpr (Ctx::kPruneLevel) return;
         continue;
       }

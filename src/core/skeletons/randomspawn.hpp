@@ -10,6 +10,7 @@
 // that Depth-Bounded and Stack-Stealing exploit.
 
 #include "core/skeletons/engine.hpp"
+#include "core/skeletons/subtree_search.hpp"
 
 namespace yewpar::skeletons {
 
@@ -21,52 +22,14 @@ template <typename Gen>
 struct Coord {
   template <typename Ctx, typename WS>
   static void executeTask(Ctx& ctx, WS& ws, typename Ctx::Task task) {
-    using Ops = typename Ctx::Ops;
-    auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), task.node);
-    ctx.applyVisit(res);
-    if (res.action == detail::Action::Prune) ++ws.acc.prunes;
-    if (res.action != detail::Action::Continue) return;
+    if (!detail::visitNode(ctx, ws, task.node)) return;
 
     const auto oneIn = ctx.params().randomSpawnOneIn != 0
                            ? ctx.params().randomSpawnOneIn
                            : kDefaultOneIn;
 
-    std::vector<Gen> genStack;
-    genStack.reserve(64);
-    genStack.emplace_back(ctx.space(), task.node);
-    while (!genStack.empty()) {
-      if (ctx.stopped()) return;
-      Gen& gen = genStack.back();
-      if (!gen.hasNext()) {
-        genStack.pop_back();
-        ++ws.acc.backtracks;
-        continue;
-      }
-      typename Ctx::Node child = gen.next();
-
-      // Random task creation: hive the child off unvisited; the executing
-      // worker visits it, exactly like every other spawn rule.
-      if (ws.rng.below(oneIn) == 0) {
-        const auto depth =
-            task.depth + static_cast<std::int32_t>(genStack.size());
-        ctx.spawn(typename Ctx::Task{std::move(child), depth});
-        continue;
-      }
-
-      auto childRes = Ops::visit(ctx.reg(), ws.acc, ctx.space(), child);
-      ctx.applyVisit(childRes);
-      if (childRes.action == detail::Action::Continue) {
-        genStack.emplace_back(ctx.space(), child);
-      } else if (childRes.action == detail::Action::Stop) {
-        return;
-      } else {
-        ++ws.acc.prunes;
-        if constexpr (Ctx::kPruneLevel) {
-          genStack.pop_back();
-          ++ws.acc.backtracks;
-        }
-      }
-    }
+    detail::subtreeSearch<detail::Hook::RandomSpawn, Gen>(
+        ctx, ws, task.node, task.depth, oneIn);
   }
 
   template <typename Ctx, typename WS>

@@ -4,26 +4,47 @@
 // depth-first backtracking over a stack of Lazy Node Generators, with no
 // runtime underneath. This is the baseline every parallel speedup in the
 // evaluation is measured against, so it carries no locks, channels or pools,
-// only the registry shared with the other skeletons (uncontended here).
-
-#include <vector>
+// only the registry shared with the other skeletons (uncontended here). Its
+// loop is the one the parallel coordinations run (subtree_search.hpp)
+// without their hooks, over a context that has no runtime.
 
 #include "core/nodegen.hpp"
 #include "core/outcome.hpp"
 #include "core/params.hpp"
 #include "core/search_ops.hpp"
+#include "core/skeletons/subtree_search.hpp"
 #include "runtime/trace.hpp"
 #include "util/timer.hpp"
 
 namespace yewpar::skeletons {
 
+namespace seqdetail {
+
+// The loop's view of a search with no runtime: no other locality to tell of
+// a new bound, and no other worker to raise stop (the loop itself returns
+// on Stop).
+template <typename OpsT, bool PruneLvl>
+struct Ctx {
+  using Ops = OpsT;
+  using Node = typename Ops::Node;
+  static constexpr bool kPruneLevel = PruneLvl;
+
+  typename Ops::Reg& reg_;
+  const typename Ops::Space& space_;
+
+  typename Ops::Reg& reg() { return reg_; }
+  const typename Ops::Space& space() const { return space_; }
+  static constexpr bool stopped() { return false; }
+  static void applyVisit(const detail::VisitResult&) {}
+};
+
+}  // namespace seqdetail
+
 template <NodeGenerator Gen, typename SearchType, typename... Opts>
 struct Sequential {
   using Space = typename Gen::Space;
   using Node = typename Gen::Node;
-  using Bound = BoundOf<Opts...>;
-  static constexpr bool kPruneLevel = kPruneLevelOf<Opts...>;
-  using Ops = detail::SearchOps<Gen, SearchType, Bound>;
+  using Ops = detail::SearchOps<Gen, SearchType, BoundOf<Opts...>>;
   using Out = Outcome<Node, typename Ops::EnumValue>;
 
   static Out search(const Params& params, const Space& space,
@@ -38,53 +59,17 @@ struct Sequential {
     typename Ops::Reg reg;
     reg.decisionTarget = params.decisionTarget;
     reg.maxNodes = params.maxNodes;
-    typename Ops::WorkerAcc acc;
+    seqdetail::Ctx<Ops, kPruneLevelOf<Opts...>> ctx{reg, space};
+    struct {
+      typename Ops::WorkerAcc acc;
+    } ws;
 
-    bool stopped = false;
-
-    // processNode(root) then push its generator (Listing 2 lines 3-4).
-    auto rootRes = Ops::visit(reg, acc, space, root);
-    if (rootRes.action == detail::Action::Stop) {
-      stopped = true;
+    // processNode(root), then search below it (Listing 2).
+    if (detail::visitNode(ctx, ws, root)) {
+      detail::subtreeSearch<detail::Hook::None, Gen>(ctx, ws, root, 0);
     }
 
-    std::vector<Gen> genStack;
-    genStack.reserve(64);
-    if (rootRes.action == detail::Action::Continue) {
-      genStack.emplace_back(space, root);
-    } else if (rootRes.action == detail::Action::Prune) {
-      ++acc.prunes;
-    }
-
-    while (!stopped && !genStack.empty()) {
-      Gen& gen = genStack.back();
-      if (gen.hasNext()) {
-        Node child = gen.next();
-        auto res = Ops::visit(reg, acc, space, child);
-        switch (res.action) {
-          case detail::Action::Continue:
-            genStack.emplace_back(space, child);
-            break;
-          case detail::Action::Prune:
-            ++acc.prunes;
-            if constexpr (kPruneLevel) {
-              // Children arrive in non-increasing bound order: the failed
-              // check rules out every unexplored sibling too.
-              genStack.pop_back();
-              ++acc.backtracks;
-            }
-            break;
-          case detail::Action::Stop:
-            stopped = true;
-            break;
-        }
-      } else {
-        genStack.pop_back();  // Backtrack
-        ++acc.backtracks;
-      }
-    }
-
-    Ops::mergeWorkerAcc(reg, acc);
+    Ops::mergeWorkerAcc(reg, ws.acc);
     rt::trace::record(rt::trace::Ev::kTaskRunEnd, 0);
     if (!params.traceFile.empty()) {
       rt::trace::writeChromeJson(params.traceFile,

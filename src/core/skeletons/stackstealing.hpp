@@ -22,13 +22,9 @@ template <typename Gen>
 struct Coord {
   template <typename Ctx, typename WS>
   static void executeTask(Ctx& ctx, WS& ws, typename Ctx::Task task) {
-    using Ops = typename Ctx::Ops;
-    auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), task.node);
-    ctx.applyVisit(res);
-    if (res.action == detail::Action::Prune) ++ws.acc.prunes;
-    if (res.action != detail::Action::Continue) return;
-    detail::subtreeSearch<true, Gen>(ctx, ws, task.node, task.depth,
-                                     /*budget=*/0);
+    if (!detail::visitNode(ctx, ws, task.node)) return;
+    detail::subtreeSearch<detail::Hook::PollSteals, Gen>(ctx, ws, task.node,
+                                                         task.depth);
   }
 
   template <typename Ctx, typename WS>

@@ -167,8 +167,8 @@ class InProcTransport : public Transport {
   explicit InProcTransport(int nLocalities, NetConfig cfg = NetConfig{})
       : fabric_(nLocalities, cfg), shaper_(fabric_, cfg) {}
 
-  // Legacy convenience: a fixed one-way latency on every link and no
-  // batching/back-pressure (Params::networkDelayMicros).
+  // Convenience: a fixed one-way latency on every link and no
+  // batching/back-pressure.
   InProcTransport(int nLocalities, double delayMicros)
       : InProcTransport(nLocalities, [&] {
           NetConfig c;

@@ -608,7 +608,9 @@ TEST(Network, BroadcastSkipsSender) {
 }
 
 TEST(Network, DelayHoldsDelivery) {
-  Network net(2, /*delayMicros=*/20000);  // 20ms
+  NetConfig cfg;
+  cfg.delay = DelayModel::parse("fixed:20000");  // 20ms
+  Network net(2, cfg);
   net.send(Message{0, 1, 1, {}});
   EXPECT_FALSE(net.tryRecv(1).has_value());  // still in flight
   auto m = net.recvWait(1, 500ms);
